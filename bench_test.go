@@ -188,7 +188,9 @@ func BenchmarkCacheFourWay(b *testing.B) {
 	}
 }
 
-func BenchmarkStackSimTreap(b *testing.B) {
+// BenchmarkStackSimRef drives the default (Fenwick) stack-distance
+// engine one Ref at a time with a hot/cold paging stream.
+func BenchmarkStackSimRef(b *testing.B) {
 	s := vm.NewStackSim()
 	r := rng.New(3)
 	b.ResetTimer()
@@ -310,6 +312,74 @@ func benchStackSimSweep(b *testing.B, opts ...vm.Option) {
 
 func BenchmarkStackSimSweepExact(b *testing.B)   { benchStackSimSweep(b) }
 func BenchmarkStackSimSweepSampled(b *testing.B) { benchStackSimSweep(b, vm.WithSampleShift(8)) }
+
+// BenchmarkSharingMultiRegion feeds a fresh sharing attributor one
+// block laid out like a server pair's address space — three allocator
+// regions, eight 64 KB thread stacks and the globals, one mem region
+// span each — from eight threads, and assembles its report: the
+// per-pair life cycle of cache.Sharing in the server experiment. B/op
+// is the attributor's table growth, which a page table indexed by
+// absolute line page makes proportional to the highest region's index;
+// ns/ref includes it.
+func BenchmarkSharingMultiRegion(b *testing.B) {
+	m := mem.New(nil, nil)
+	heap := m.NewRegion("heap", 0)
+	info := m.NewRegion("info", 0)
+	m.NewRegion("state", mem.PageSize)
+	var stacks []*mem.Region
+	for t := 0; t < 8; t++ {
+		stacks = append(stacks, m.NewRegion(fmt.Sprintf("stack%d", t), 64<<10))
+	}
+	globals := m.NewRegion("globals", 0)
+	span := func(r *mem.Region, n uint64) uint64 {
+		base, err := r.Sbrk(n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return base
+	}
+	heapBase, infoBase, globalsBase := span(heap, 1<<20), span(info, 64<<10), span(globals, 16<<10)
+	stackBases := make([]uint64, len(stacks))
+	for t, r := range stacks {
+		stackBases[t] = span(r, 64<<10-mem.RegionReserve)
+	}
+	r := rng.New(6)
+	blk := &trace.Block{}
+	for blk.Len() < 1<<16 {
+		tid := uint8(r.Uint64n(8))
+		kind := trace.Read
+		if r.Bool(0.3) {
+			kind = trace.Write
+		}
+		var addr uint64
+		switch x := r.Float64(); {
+		case x < 0.4:
+			addr = stackBases[tid] + mem.WordSize*r.Uint64n(1<<10)
+		case x < 0.8:
+			addr = heapBase + mem.WordSize*r.Uint64n(1<<18)
+		case x < 0.9:
+			addr = infoBase + mem.WordSize*r.Uint64n(1<<14)
+		default:
+			addr = globalsBase + mem.WordSize*r.Uint64n(1<<12)
+		}
+		if r.Bool(0.1) {
+			blk.AppendRunTid(addr, mem.WordSize, kind, 8, tid) // an object initialization
+			continue
+		}
+		blk.Append(trace.Ref{Addr: addr, Size: mem.WordSize, Kind: kind, Tid: tid})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		s := cache.NewSharing(cache.SharingConfig{RegionOf: m.RegionIndex})
+		s.Block(blk)
+		rep := s.Report()
+		events = rep.True + rep.False
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blk.Refs()), "ns/ref")
+	b.ReportMetric(float64(events), "events")
+}
 
 // BenchmarkTeeBatch compares synchronous per-ref delivery against the
 // batched ring-buffer path through a realistic fan-out (counter + cache

@@ -525,8 +525,8 @@ func testShadowOracle(t *testing.T, f Factory, o Options) {
 	if len(live) > 2 {
 		p := live[0]
 		live = live[1:]
-		_ = s.Free(p)          // valid
-		_ = s.Free(p)          // immediate double free
+		_ = s.Free(p)                      // valid
+		_ = s.Free(p)                      // immediate double free
 		_ = s.Free(live[0] + mem.WordSize) // interior pointer
 	}
 	for _, p := range live {

@@ -148,7 +148,7 @@ type Allocator struct {
 	audits uint64
 
 	root      *node
-	live      map[uint64]*node  // addr → treap node
+	live      map[uint64]*node // addr → treap node
 	liveBytes uint64
 	freed     map[uint64]uint64 // former base → op index of the freeing call
 	rng       uint64            // treap priorities (deterministic xorshift)

@@ -23,9 +23,10 @@
 // warm, reused buffer is the hot paths' working idiom, and the
 // AllocsPerRun regression tests (cache/vm zeroalloc tests) pin the
 // warmed steady state to 0 allocs/op dynamically. Cold-path helpers
-// called from hot functions (lineSet.page, mem.Memory.page) are not in
-// the hot set: materializing a page on first touch is the documented
-// amortized exception, and the dynamic tests hold it to account.
+// called from hot functions (pageDir.materialize, mem.Memory.page) are
+// not in the hot set: materializing a page on first touch is the
+// documented amortized exception, and the dynamic tests hold it to
+// account.
 package hotalloc
 
 import (
@@ -54,6 +55,7 @@ var hotFuncs = map[string]map[string]map[string]bool{
 		"Group":      set("Ref", "accessLine", "Block", "fusedScan", "probeEntry", "probeRun", "decompose", "replay"),
 		"Cache":      set("Ref", "Block", "accessLine", "accessLineRun"),
 		"lineSet":    set("add", "addRange"),
+		"pageDir":    set("lookup", "find"),
 		"groupShard": set("process", "access"),
 		"Sharing":    set("Ref", "Refs", "Block", "access", "runRow", "accessLine"),
 	},
@@ -135,7 +137,8 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// recvTypeName extracts the receiver's base type name.
+// recvTypeName extracts the receiver's base type name, without the
+// type parameters of a generic receiver.
 func recvTypeName(fd *ast.FuncDecl) string {
 	if len(fd.Recv.List) == 0 {
 		return ""
@@ -143,6 +146,12 @@ func recvTypeName(fd *ast.FuncDecl) string {
 	t := fd.Recv.List[0].Type
 	if star, ok := t.(*ast.StarExpr); ok {
 		t = star.X
+	}
+	switch x := t.(type) {
+	case *ast.IndexExpr:
+		t = x.X
+	case *ast.IndexListExpr:
+		t = x.X
 	}
 	if id, ok := t.(*ast.Ident); ok {
 		return id.Name

@@ -231,27 +231,32 @@ func TestGroupShardRefAndBatchPaths(t *testing.T) {
 
 // TestLineSetAddRange: the word-at-a-time range fill must mark exactly
 // the lines that repeated add calls mark, across page boundaries, word
-// boundaries and both dense and sparse territory.
+// boundaries, region-span boundaries and both dense and sparse
+// territory.
 func TestLineSetAddRange(t *testing.T) {
 	r := rng.New(11)
+	span := uint64(1) << (spanPageShift(defaultLineShift) + dirPageShift) // lines per region span
 	spans := [][2]uint64{
 		{0, 0},
 		{5, 5},
 		{0, 63},
 		{60, 70},
 		{63, 64},
-		{(1 << lineSetPageShift) - 2, (1 << lineSetPageShift) + 2},
-		{3 * (1 << lineSetPageShift), 5 * (1 << lineSetPageShift)},
+		{(1 << dirPageShift) - 2, (1 << dirPageShift) + 2},
+		{3 * (1 << dirPageShift), 5 * (1 << dirPageShift)},
+		{span - 70, span + 70},                           // crosses a region span
+		{5*span + 9, 5*span + 9000},                      // a later span, low pages only
+		{dirDenseSpans*span - 3, dirDenseSpans*span + 3}, // dense → sparse top level
 	}
 	for i := 0; i < 40; i++ {
 		first := r.Uint64n(1 << 21)
 		spans = append(spans, [2]uint64{first, first + r.Uint64n(3000)})
 	}
-	// A sparse-territory span (beyond the dense page limit).
-	base := uint64(lineSetDenseLimit)<<lineSetPageShift + 17
-	spans = append(spans, [2]uint64{base, base + 100})
+	// Sparse territory, up to the top of the line space.
+	base := uint64(dirDenseSpans+7)*span + 17
+	spans = append(spans, [2]uint64{base, base + 100}, [2]uint64{^uint64(0) - 5000, ^uint64(0)})
 
-	ranged, looped := newLineSet(), newLineSet()
+	ranged, looped := newLineSet(defaultLineShift), newLineSet(defaultLineShift)
 	for _, s := range spans {
 		ranged.addRange(s[0], s[1])
 		for line := s[0]; ; line++ {
@@ -266,23 +271,17 @@ func TestLineSetAddRange(t *testing.T) {
 			ranged.distinct(), looped.distinct())
 	}
 	// Membership spot-check via a probe group is indirect; compare the
-	// raw pages instead.
-	for idx, page := range looped.dense {
-		if page == nil {
-			if idx < len(ranged.dense) && ranged.dense[idx] != nil {
-				for _, w := range ranged.dense[idx] {
-					if w != 0 {
-						t.Fatalf("page %d: addRange set bits the oracle did not", idx)
-					}
-				}
+	// raw pages instead, in both directions.
+	pages := func(s *lineSet) map[uint64]lineSetPage {
+		m := map[uint64]lineSetPage{}
+		s.dir.each(func(idx uint64, p *lineSetPage) {
+			if *p != (lineSetPage{}) {
+				m[idx] = *p
 			}
-			continue
-		}
-		if idx >= len(ranged.dense) || ranged.dense[idx] == nil {
-			t.Fatalf("page %d missing from addRange set", idx)
-		}
-		if *ranged.dense[idx] != *page {
-			t.Fatalf("page %d bitmap diverged", idx)
-		}
+		})
+		return m
+	}
+	if got, want := pages(ranged), pages(looped); !reflect.DeepEqual(got, want) {
+		t.Fatalf("addRange pages diverged from the add loop: %d vs %d non-empty pages", len(got), len(want))
 	}
 }

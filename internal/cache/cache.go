@@ -359,39 +359,19 @@ func (r Result) ConflictMisses() uint64 {
 }
 
 // lineSet tracks distinct line numbers with a sparse paged bitset:
-// 4096-line (512-byte) pages allocated on demand. Pages below
-// lineSetDenseLimit live in a directly-indexed slice (one bounds check
-// and a load — the common case, since simulated heaps sit in the low
-// few GB of the address space); pages above it fall back to a map.
+// 4096-line (512-byte) pages in a pageDir, allocated on demand.
 // Compared with map[uint64]struct{} this replaces a hash+insert per
 // line access with a shift, an array index and a bit test, and shrinks
 // the footprint from ~48 bytes to one bit per distinct line.
 type lineSet struct {
-	dense  []*lineSetPage
-	sparse map[uint64]*lineSetPage
-	// Single-entry page cache: reference streams are strongly local, so
-	// consecutive adds overwhelmingly hit one page; caching it turns the
-	// common case into a compare plus the bit test.
-	lastIdx uint64
-	last    *lineSetPage
+	dir pageDir[lineSetPage]
 }
 
-const (
-	lineSetPageShift = 12 // 4096 lines per page
+type lineSetPage [1 << (dirPageShift - 6)]uint64
 
-	// lineSetDenseLimit caps the directly-indexed page table: 2^20
-	// pages × 4096 lines × 32-byte lines = the first 128 GB of address
-	// space, at a worst-case cost of 8 MB of page pointers (the slice
-	// grows only to the highest index actually referenced). The limit
-	// must clear mem's region layout — bases at multiples of 1<<32 —
-	// for several regions, or every lookup decays to the sparse map.
-	lineSetDenseLimit = 1 << 20
-)
-
-type lineSetPage [1 << (lineSetPageShift - 6)]uint64
-
-func newLineSet() *lineSet {
-	return &lineSet{}
+// newLineSet returns an empty set of 1<<lineShift-byte lines.
+func newLineSet(lineShift uint) *lineSet {
+	return &lineSet{dir: pageDir[lineSetPage]{spanShift: spanPageShift(lineShift)}}
 }
 
 // add marks line as seen. The distinct count is not maintained here —
@@ -399,18 +379,7 @@ func newLineSet() *lineSet {
 // and a store; distinct() recovers the count by popcount when a reader
 // (end-of-run results, a sample capture) actually wants it.
 func (s *lineSet) add(line uint64) {
-	idx := line >> lineSetPageShift
-	p := s.last
-	if p == nil || idx != s.lastIdx {
-		p = nil
-		if idx < uint64(len(s.dense)) {
-			p = s.dense[idx]
-		}
-		if p == nil {
-			p = s.page(idx)
-		}
-		s.lastIdx, s.last = idx, p
-	}
+	p := s.dir.lookup(line >> dirPageShift)
 	p[(line>>6)&(uint64(len(p))-1)] |= uint64(1) << (line & 63)
 }
 
@@ -419,19 +388,9 @@ func (s *lineSet) add(line uint64) {
 // so a contiguous run of lines costs O(words) instead of O(lines).
 func (s *lineSet) addRange(first, last uint64) {
 	for line := first; ; {
-		idx := line >> lineSetPageShift
-		p := s.last
-		if p == nil || idx != s.lastIdx {
-			p = nil
-			if idx < uint64(len(s.dense)) {
-				p = s.dense[idx]
-			}
-			if p == nil {
-				p = s.page(idx)
-			}
-			s.lastIdx, s.last = idx, p
-		}
-		end := (idx+1)<<lineSetPageShift - 1
+		idx := line >> dirPageShift
+		p := s.dir.lookup(idx)
+		end := (idx+1)<<dirPageShift - 1
 		if end > last {
 			end = last
 		}
@@ -457,87 +416,29 @@ func (s *lineSet) addRange(first, last uint64) {
 
 // empty reports whether no line has ever been added (pages are only
 // allocated by add, so page presence is membership evidence).
-func (s *lineSet) empty() bool { return len(s.dense) == 0 && len(s.sparse) == 0 }
+func (s *lineSet) empty() bool { return s.dir.empty() }
 
 // distinct counts the set bits across all pages: the number of distinct
 // lines added. O(allocated pages), called only from result assembly.
 func (s *lineSet) distinct() uint64 {
 	var n uint64
-	for _, p := range s.dense {
-		if p != nil {
-			for _, w := range p {
-				n += uint64(bits.OnesCount64(w))
-			}
-		}
-	}
-	//lint:allow determinism popcount sum is order-insensitive
-	for _, p := range s.sparse {
+	s.dir.each(func(_ uint64, p *lineSetPage) {
 		for _, w := range p {
 			n += uint64(bits.OnesCount64(w))
 		}
-	}
+	})
 	return n
 }
 
 // merge ORs another set's pages into this one (used when shard workers
 // fold their disjoint partitions back into the group at Stop).
 func (s *lineSet) merge(o *lineSet) {
-	for idx, p := range o.dense {
-		if p != nil {
-			s.mergePage(uint64(idx), p)
+	o.dir.each(func(idx uint64, src *lineSetPage) {
+		dst := s.dir.lookup(idx)
+		for w, v := range src {
+			dst[w] |= v
 		}
-	}
-	//lint:allow determinism bitwise OR-merge is order-insensitive
-	for idx, p := range o.sparse {
-		s.mergePage(idx, p)
-	}
-}
-
-func (s *lineSet) mergePage(idx uint64, src *lineSetPage) {
-	var dst *lineSetPage
-	if idx < uint64(len(s.dense)) {
-		dst = s.dense[idx]
-	}
-	if dst == nil {
-		dst = s.page(idx)
-	}
-	for w, v := range src {
-		dst[w] |= v
-	}
-}
-
-// page allocates (and registers) the page covering idx — the slow path
-// of add, kept out of line so add itself stays small and inlinable.
-func (s *lineSet) page(idx uint64) *lineSetPage {
-	if idx < lineSetDenseLimit {
-		if idx >= uint64(len(s.dense)) {
-			// Grow geometrically: region layouts touch page indices in
-			// increasing order, and growing to exactly idx+1 each time
-			// would recopy the whole pointer table per new page.
-			size := idx + 1
-			if min := 2 * uint64(len(s.dense)); size < min {
-				size = min
-			}
-			if size > lineSetDenseLimit {
-				size = lineSetDenseLimit
-			}
-			grown := make([]*lineSetPage, size)
-			copy(grown, s.dense)
-			s.dense = grown
-		}
-		p := new(lineSetPage)
-		s.dense[idx] = p
-		return p
-	}
-	p := s.sparse[idx]
-	if p == nil {
-		p = new(lineSetPage)
-		if s.sparse == nil {
-			s.sparse = make(map[uint64]*lineSetPage)
-		}
-		s.sparse[idx] = p
-	}
-	return p
+	})
 }
 
 // Group feeds one reference stream to several cache configurations and
@@ -596,7 +497,7 @@ func NewGroup(cfgs ...Config) *Group {
 	if len(cfgs) == 0 {
 		panic("cache: empty group")
 	}
-	g := &Group{seen: newLineSet(), fused: true, rleOK: true}
+	g := &Group{fused: true, rleOK: true}
 	var lineSize uint64
 	for _, cfg := range cfgs {
 		c := New(cfg)
@@ -614,6 +515,7 @@ func NewGroup(cfgs ...Config) *Group {
 		}
 		g.caches = append(g.caches, c)
 	}
+	g.seen = newLineSet(g.lineShift)
 	if g.fused {
 		g.probes = make([]fusedProbe, len(g.caches))
 		g.probeOrder = make([]int, len(g.caches))

@@ -228,10 +228,10 @@ func TestQuickCacheInvariants(t *testing.T) {
 func TestWrappingRefTerminates(t *testing.T) {
 	top := ^uint64(0)
 	cases := []trace.Ref{
-		{Addr: top, Size: 4},           // starts on the last byte
-		{Addr: top - 3, Size: 8},       // crosses the top boundary
-		{Addr: top - 40, Size: 64},     // spans into the wrap
-		{Addr: top - 31, Size: 0},      // zero size at the edge
+		{Addr: top, Size: 4},             // starts on the last byte
+		{Addr: top - 3, Size: 8},         // crosses the top boundary
+		{Addr: top - 40, Size: 64},       // spans into the wrap
+		{Addr: top - 31, Size: 0},        // zero size at the edge
 		{Addr: top &^ 31, Size: 1 << 31}, // huge span from the last line
 	}
 	for _, r := range cases {
@@ -283,7 +283,7 @@ func TestSingleLineFastPath(t *testing.T) {
 // TestLineSetPagedBitset exercises the distinct-line bitset across page
 // boundaries and re-visits, comparing against a map oracle.
 func TestLineSetPagedBitset(t *testing.T) {
-	s := newLineSet()
+	s := newLineSet(defaultLineShift)
 	oracle := map[uint64]bool{}
 	seed := uint64(99)
 	add := func(line uint64) {

@@ -110,7 +110,7 @@ func (g *Group) StartShards(n int) int {
 			g:      g,
 			in:     make(chan shardChunk, 2),
 			staged: newShardChunk(),
-			seen:   newLineSet(),
+			seen:   newLineSet(g.lineShift),
 			stats:  make([]shardStats, len(g.caches)),
 		}
 		g.shards[i] = s

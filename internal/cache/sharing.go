@@ -3,7 +3,6 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"mallocsim/internal/mem"
 	"mallocsim/internal/trace"
@@ -38,17 +37,12 @@ type Sharing struct {
 	lineSize  uint64
 	regionOf  func(uint64) int
 
-	// Per-line coherence state in lineSet-style lazily allocated pages:
-	// a directly-indexed slice below shareDenseLimit, a map above it,
-	// and a single-entry last-page cache for the strongly local common
-	// case.
-	dense   []*sharePage
-	sparse  map[uint64]*sharePage
-	lastIdx uint64
-	last    *sharePage
-
-	counts    map[uint64]*shareCount
-	pingLines lineSet
+	pages pageDir[sharePage] // per-line coherence state
+	// counts holds one page of per-tid rows per region, indexed by
+	// region: a dense table for the first dirDenseSpans regions (the
+	// zero span shift gives each region a top-level entry), a map past.
+	counts    pageDir[[64]shareCount]
+	pingLines *lineSet
 	trueEv    uint64
 	falseEv   uint64
 }
@@ -60,16 +54,13 @@ type SharingConfig struct {
 	// mask). Defaults to the machine line size (32 bytes).
 	LineSize uint64
 	// RegionOf classifies an address into a small non-negative region
-	// index for the attribution rows; nil attributes everything to
-	// region 0. It is consulted only when an event fires (events are
-	// rare next to accesses), so it may be moderately expensive.
+	// index for the attribution rows; nil, or a negative index,
+	// attributes to region 0. It is consulted on every event, so it
+	// should be O(1): mem.Memory.RegionIndex is.
 	RegionOf func(addr uint64) int
 }
 
-const (
-	sharePageShift = 12 // 4096 lines of coherence state per page
-	sharePageLines = 1 << sharePageShift
-)
+const sharePageLines = 1 << dirPageShift
 
 // sharePage holds the coherence state of 4096 consecutive lines in
 // parallel arrays. owner is the last writer's tid plus one (0 = never
@@ -82,6 +73,7 @@ type sharePage struct {
 	written [sharePageLines]uint64
 }
 
+// shareCount is one region×thread row's event counts.
 type shareCount struct {
 	trueEv  uint64
 	falseEv uint64
@@ -99,11 +91,13 @@ func NewSharing(cfg SharingConfig) *Sharing {
 	if mem.WordOf(cfg.LineSize) > 64 {
 		panic(fmt.Sprintf("cache: sharing line size %d exceeds 64 words", cfg.LineSize))
 	}
+	shift := uint(bits.TrailingZeros64(cfg.LineSize))
 	return &Sharing{
-		lineShift: uint(bits.TrailingZeros64(cfg.LineSize)),
+		lineShift: shift,
 		lineSize:  cfg.LineSize,
 		regionOf:  cfg.RegionOf,
-		counts:    make(map[uint64]*shareCount),
+		pages:     pageDir[sharePage]{spanShift: spanPageShift(shift)},
+		pingLines: newLineSet(shift),
 	}
 }
 
@@ -222,18 +216,7 @@ func (s *Sharing) runRow(addr uint64, size uint32, k trace.Kind, n uint32, tid u
 // event (if any) is classified against, update the word mask a write
 // deposits. For plain references the two coincide.
 func (s *Sharing) accessLine(line, classify, update uint64, write bool, tid uint8) {
-	idx := line >> sharePageShift
-	p := s.last
-	if p == nil || idx != s.lastIdx {
-		p = nil
-		if idx < uint64(len(s.dense)) {
-			p = s.dense[idx]
-		}
-		if p == nil {
-			p = s.page(idx)
-		}
-		s.lastIdx, s.last = idx, p
-	}
+	p := s.pages.lookup(line >> dirPageShift)
 	i := line & (sharePageLines - 1)
 	t := tid & 63
 	bit := uint64(1) << t
@@ -264,60 +247,19 @@ func (s *Sharing) accessLine(line, classify, update uint64, write bool, tid uint
 // (events are rare next to accesses, and a warm run's region×thread
 // counters are already materialized).
 func (s *Sharing) event(line uint64, tid uint8, isTrue bool) {
-	if isTrue {
-		s.trueEv++
-	} else {
-		s.falseEv++
-	}
 	s.pingLines.add(line)
 	region := 0
 	if s.regionOf != nil {
-		if r := s.regionOf(line << s.lineShift); r > 0 {
-			region = r
-		}
+		region = max(s.regionOf(line<<s.lineShift), 0)
 	}
-	key := uint64(region)<<8 | uint64(tid)
-	c := s.counts[key]
-	if c == nil {
-		c = &shareCount{}
-		s.counts[key] = c
-	}
+	c := &s.counts.lookup(uint64(region))[tid]
 	if isTrue {
+		s.trueEv++
 		c.trueEv++
 	} else {
+		s.falseEv++
 		c.falseEv++
 	}
-}
-
-// page allocates (and registers) the coherence page covering idx — the
-// slow path of accessLine, kept out of line like lineSet.page.
-func (s *Sharing) page(idx uint64) *sharePage {
-	if idx < lineSetDenseLimit {
-		if idx >= uint64(len(s.dense)) {
-			size := idx + 1
-			if min := 2 * uint64(len(s.dense)); size < min {
-				size = min
-			}
-			if size > lineSetDenseLimit {
-				size = lineSetDenseLimit
-			}
-			grown := make([]*sharePage, size)
-			copy(grown, s.dense)
-			s.dense = grown
-		}
-		p := new(sharePage)
-		s.dense[idx] = p
-		return p
-	}
-	p := s.sparse[idx]
-	if p == nil {
-		p = new(sharePage)
-		if s.sparse == nil {
-			s.sparse = make(map[uint64]*sharePage)
-		}
-		s.sparse[idx] = p
-	}
-	return p
 }
 
 // SharingRow is one attribution row: sharing events suffered by thread
@@ -346,27 +288,17 @@ type SharingReport struct {
 // Events returns the total number of sharing events recorded.
 func (s *Sharing) Events() uint64 { return s.trueEv + s.falseEv }
 
-// Report assembles the end-of-run summary. O(rows log rows); call it
-// after the stream is flushed.
+// Report assembles the end-of-run summary. O(regions); call it after
+// the stream is flushed.
 func (s *Sharing) Report() SharingReport {
-	keys := make([]uint64, 0, len(s.counts))
-	for k := range s.counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	var rows []SharingRow
-	if len(keys) > 0 {
-		rows = make([]SharingRow, 0, len(keys))
-	}
-	for _, k := range keys {
-		c := s.counts[k]
-		rows = append(rows, SharingRow{
-			Region: int(k >> 8),
-			Tid:    uint8(k & 0xff),
-			True:   c.trueEv,
-			False:  c.falseEv,
-		})
-	}
+	s.counts.each(func(region uint64, c *[64]shareCount) {
+		for tid, n := range c {
+			if n.trueEv+n.falseEv != 0 {
+				rows = append(rows, SharingRow{Region: int(region), Tid: uint8(tid), True: n.trueEv, False: n.falseEv})
+			}
+		}
+	})
 	return SharingReport{
 		Rows:      rows,
 		True:      s.trueEv,

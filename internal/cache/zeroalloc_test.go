@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 
+	"mallocsim/internal/mem"
 	"mallocsim/internal/trace"
 )
 
@@ -13,19 +14,24 @@ import (
 // per sweep.
 
 // zeroAllocBlock builds a block mixing plain rows and run rows, the
-// shape the fused sweep sees from the workload driver.
-func zeroAllocBlock() *trace.Block {
+// shape the fused sweep sees from the workload driver, repeated in each
+// of the first spans mem region spans: a server pair's layout puts its
+// dozen regions in a dozen spans, so the directory's multi-span path
+// must be warm-allocation-free too.
+func zeroAllocBlock(spans int) *trace.Block {
 	b := &trace.Block{}
-	addr := uint64(0x4000)
-	for i := 0; i < 512; i++ {
-		b.Append(trace.Ref{Addr: addr, Size: 8, Kind: trace.Read})
-		addr += 24
-		if i%7 == 0 {
-			b.AppendRun(addr, 16, trace.Write, 32)
-			addr += 16 * 32
-		}
-		if i%61 == 0 {
-			addr += 1 << 18 // jump pages so the line sets span several bitmap pages
+	for s := 0; s < spans; s++ {
+		addr := uint64(s)*mem.RegionSpan + 0x4000
+		for i := 0; i < 512; i++ {
+			b.Append(trace.Ref{Addr: addr, Size: 8, Kind: trace.Read})
+			addr += 24
+			if i%7 == 0 {
+				b.AppendRun(addr, 16, trace.Write, 32)
+				addr += 16 * 32
+			}
+			if i%61 == 0 {
+				addr += 1 << 18 // jump pages so the line sets span several bitmap pages
+			}
 		}
 	}
 	return b
@@ -37,7 +43,7 @@ func TestGroupBlockSweepZeroAlloc(t *testing.T) {
 		Config{Size: 16 << 10, Assoc: 2},
 		Config{Size: 64 << 10, Assoc: 4},
 	)
-	b := zeroAllocBlock()
+	b := zeroAllocBlock(12)
 	g.Block(b) // materialize line-set pages and counters
 	if avg := testing.AllocsPerRun(20, func() { g.Block(b) }); avg != 0 {
 		t.Errorf("warmed fused Group.Block sweep allocates %.1f allocs/op, want 0", avg)
@@ -46,7 +52,7 @@ func TestGroupBlockSweepZeroAlloc(t *testing.T) {
 
 func TestCacheBlockZeroAlloc(t *testing.T) {
 	c := New(Config{Size: 16 << 10, Assoc: 2})
-	b := zeroAllocBlock()
+	b := zeroAllocBlock(1)
 	c.Block(b)
 	if avg := testing.AllocsPerRun(20, func() { c.Block(b) }); avg != 0 {
 		t.Errorf("warmed Cache.Block allocates %.1f allocs/op, want 0", avg)
@@ -59,7 +65,7 @@ func TestSharingBlockZeroAlloc(t *testing.T) {
 	// actually fire during the sweep (the event path must be warm too:
 	// its region×thread counters and ping-line pages are materialized
 	// on first use and reused after).
-	b := zeroAllocBlock()
+	b := zeroAllocBlock(12)
 	tids := make([]uint8, b.Len())
 	for i := range tids {
 		tids[i] = uint8(i % 4)
@@ -75,7 +81,7 @@ func TestSharingBlockZeroAlloc(t *testing.T) {
 }
 
 func TestLineSetAddRangeZeroAlloc(t *testing.T) {
-	var s lineSet
+	s := newLineSet(defaultLineShift)
 	warm := func() {
 		s.add(3)
 		s.addRange(0, 4096)             // within one page

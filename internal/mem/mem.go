@@ -45,11 +45,19 @@ const (
 	// wordaddr analyzer enforces this).
 	LineSize = 32
 
-	// regionSpan is the virtual address spacing between region bases.
-	// 4 GiB keeps all word values (which hold addresses) inside 32 bits
-	// only if a region's *offset* is stored; we instead store full
-	// addresses as 64-bit values split across... see Region docs.
-	regionSpan = 1 << 32
+	// RegionSpan is the virtual address spacing between region bases
+	// (see NewRegion) and the largest size a region may grow to: 4 GiB,
+	// so a region-relative offset fits a 32-bit word. Simulators that
+	// key per-address state by region split their tables at it.
+	RegionSpan = 1 << 32
+
+	// regionStagger offsets region i's base by i·regionStagger within
+	// its span (see NewRegion).
+	regionStagger = 37 * PageSize
+
+	// staggerRegions is the number of regions whose stagger stays
+	// inside one span: up to it, region i's base lies in span i+1.
+	staggerRegions = RegionSpan / regionStagger
 )
 
 // RegionReserve is the number of bytes reserved at the start of every
@@ -287,12 +295,12 @@ func (m *Memory) NewRegion(name string, limit uint64) *Region {
 	// under study so that region bases do not all collide on cache set
 	// 0 (real processes also place segments at unrelated offsets).
 	i := uint64(len(m.regions))
-	base := (i+1)*regionSpan + i*37*PageSize
+	base := (i+1)*RegionSpan + i*regionStagger
 	if limit == 0 {
 		limit = m.DefaultRegionLimit
 	}
-	if limit == 0 || limit > regionSpan {
-		limit = regionSpan
+	if limit == 0 || limit > RegionSpan {
+		limit = RegionSpan
 	}
 	r := &Region{m: m, name: name, base: base, brk: base + RegionReserve, limit: base + limit}
 	m.regions = append(m.regions, r)
@@ -302,20 +310,37 @@ func (m *Memory) NewRegion(name string, limit uint64) *Region {
 // Regions returns all regions in creation order.
 func (m *Memory) Regions() []*Region { return m.regions }
 
-// RegionAt returns the region whose allocated span contains addr, or
-// nil. The fast path exploits the regionSpan-aligned base layout (the
-// region index is addr's high word minus one); the linear fallback
-// covers addresses past a span boundary inside an oversized region.
-func (m *Memory) RegionAt(addr uint64) *Region {
-	if i := addr/regionSpan - 1; addr >= regionSpan && i < uint64(len(m.regions)) {
-		if r := m.regions[i]; r.Contains(addr) {
-			return r
+// RegionIndex returns the creation index of the region whose allocated
+// span contains addr, or -1 if none does. It is O(1) through the span
+// layout: region i's base lies in span i+1 (addr/RegionSpan), and a
+// region grown past that span's end reaches only into span i+2, so at
+// most two regions are candidates. Past staggerRegions regions the
+// layout no longer maps spans to indices and a scan takes over.
+func (m *Memory) RegionIndex(addr uint64) int {
+	n := uint64(len(m.regions))
+	if n > staggerRegions {
+		for i, r := range m.regions {
+			if r.Contains(addr) {
+				return i
+			}
 		}
+		return -1
 	}
-	for _, r := range m.regions {
-		if r.Contains(addr) {
-			return r
-		}
+	span := addr / RegionSpan
+	if i := span - 1; i < n && m.regions[i].Contains(addr) {
+		return int(i)
+	}
+	if i := span - 2; i < n && m.regions[i].Contains(addr) {
+		return int(i)
+	}
+	return -1
+}
+
+// RegionAt returns the region whose allocated span contains addr, or
+// nil (see RegionIndex).
+func (m *Memory) RegionAt(addr uint64) *Region {
+	if i := m.RegionIndex(addr); i >= 0 {
+		return m.regions[i]
 	}
 	return nil
 }
@@ -391,10 +416,8 @@ func (m *Memory) checkAddr(addr uint64, n uint32) {
 	// A word access must lie inside some region's allocated span.
 	// Out-of-range accesses are programming errors in an allocator and
 	// abort the simulation loudly rather than silently corrupting it.
-	for _, r := range m.regions {
-		if addr >= r.base && addr+uint64(n) <= r.brk {
-			return
-		}
+	if i := m.RegionIndex(addr); i >= 0 && addr+uint64(n) <= m.regions[i].brk {
+		return
 	}
 	panic(fmt.Sprintf("mem: access [%#x,+%d) outside any region break", addr, n))
 }
@@ -449,7 +472,7 @@ func (r *Region) EncodePtr(addr uint64) uint64 {
 	if addr == 0 {
 		return 0
 	}
-	if addr < r.base || addr >= r.base+regionSpan {
+	if addr < r.base || addr >= r.base+RegionSpan {
 		panic(fmt.Sprintf("mem: address %#x outside region %q", addr, r.name))
 	}
 	return addr - r.base

@@ -91,6 +91,109 @@ func TestRegionAt(t *testing.T) {
 	}
 }
 
+// regionScan is RegionIndex's oracle: the first region containing addr
+// by linear scan.
+func regionScan(m *Memory, addr uint64) int {
+	for i, r := range m.Regions() {
+		if r.Contains(addr) {
+			return i
+		}
+	}
+	return -1
+}
+
+func TestRegionIndex(t *testing.T) {
+	m := New(nil, nil)
+	for i := 0; i < 5; i++ {
+		if _, err := m.NewRegion("r", 0).Sbrk(1024); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Region 1 grows past its span's end into span 3, which region 2's
+	// base also lies in: only the past-span fallback finds it there.
+	r1 := m.Regions()[1]
+	spill := (r1.Base()/RegionSpan + 1) * RegionSpan
+	if _, err := r1.Sbrk(spill + 64 - r1.Brk()); err != nil {
+		t.Fatal(err)
+	}
+	if spill/RegionSpan != m.Regions()[2].Base()/RegionSpan {
+		t.Fatalf("fixture: region 1 spills into span %d, region 2 starts in span %d",
+			spill/RegionSpan, m.Regions()[2].Base()/RegionSpan)
+	}
+	for i, r := range m.Regions() {
+		for _, c := range []struct {
+			name string
+			addr uint64
+			want int
+		}{
+			{"base", r.Base(), i},
+			{"brk-1", r.Brk() - 1, i},
+			{"brk", r.Brk(), -1},
+			{"base-1", r.Base() - 1, -1},
+		} {
+			if got := m.RegionIndex(c.addr); got != c.want {
+				t.Errorf("region %d: RegionIndex(%s) = %d, want %d", i, c.name, got, c.want)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		addr uint64
+		want int
+	}{
+		{"past-span fallback", spill + 8, 1},
+		{"past-span brk", r1.Brk(), -1},
+		{"zero", 0, -1},
+		{"span 0", RegionSpan - 1, -1},
+		{"beyond the last region", 1 << 62, -1},
+		{"top of the address space", ^uint64(0), -1},
+	} {
+		if got := m.RegionIndex(c.addr); got != c.want {
+			t.Errorf("RegionIndex(%s = %#x) = %d, want %d", c.name, c.addr, got, c.want)
+		}
+		if got, want := m.RegionAt(c.addr), m.Regions(); (got == nil) != (c.want < 0) || (got != nil && got != want[c.want]) {
+			t.Errorf("RegionAt(%s) = %v, disagrees with RegionIndex", c.name, got)
+		}
+	}
+	// Agreement with the linear scan across every span the layout uses.
+	for span := uint64(0); span <= 7; span++ {
+		for _, off := range []uint64{0, 8, 37 * PageSize, 2 * 37 * PageSize, 4096 + 12, 128 + 37*PageSize} {
+			addr := span*RegionSpan + off
+			if got, want := m.RegionIndex(addr), regionScan(m, addr); got != want {
+				t.Errorf("RegionIndex(%#x) = %d, scan says %d", addr, got, want)
+			}
+		}
+	}
+}
+
+// TestRegionIndexPastStagger: beyond staggerRegions regions the stagger
+// carries a base into a later span than i+1, where the two span
+// candidates miss it, and RegionIndex must stay exact.
+func TestRegionIndexPastStagger(t *testing.T) {
+	m := New(nil, nil)
+	for i := uint64(0); i <= staggerRegions; i++ {
+		m.NewRegion("r", PageSize)
+	}
+	last := m.NewRegion("last", 0)
+	i := len(m.Regions()) - 1
+	if span := last.Base() / RegionSpan; span != uint64(i)+2 {
+		t.Fatalf("fixture: region %d's base lies in span %d, want %d", i, span, i+2)
+	}
+	// Grow it into span i+3: neither candidate span-1 nor span-2 is i.
+	spill := (last.Base()/RegionSpan + 1) * RegionSpan
+	if _, err := last.Sbrk(spill + 64 - last.Brk()); err != nil {
+		t.Fatal(err)
+	}
+	for _, addr := range []uint64{last.Base(), spill + 8} {
+		if got := m.RegionIndex(addr); got != i {
+			t.Errorf("RegionIndex(%#x) = %d, want %d", addr, got, i)
+		}
+	}
+	if got := m.RegionIndex(m.Regions()[7].Base()); got != 7 {
+		t.Errorf("RegionIndex(region 7 base) = %d past the stagger limit", got)
+	}
+}
+
 func TestRegionLimit(t *testing.T) {
 	m := New(nil, nil)
 	r := m.NewRegion("small", 4096)

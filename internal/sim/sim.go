@@ -198,20 +198,12 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	// Concurrent runs attach the sharing attributor: a separate sink,
 	// so its classification is independent of the cache group's shard
 	// count. Events are attributed to the index of the containing
-	// region, resolved to the region name at report assembly (regions
-	// only ever grow, so indices are stable).
+	// region (region 0 for an address in none), resolved to the region
+	// name at report assembly (regions only ever grow, so indices are
+	// stable).
 	var sharing *cache.Sharing
 	if cfg.Server != nil {
-		sharing = cache.NewSharing(cache.SharingConfig{
-			RegionOf: func(addr uint64) int {
-				for i, r := range m.Regions() {
-					if r.Contains(addr) {
-						return i
-					}
-				}
-				return 0
-			},
-		})
+		sharing = cache.NewSharing(cache.SharingConfig{RegionOf: m.RegionIndex})
 		sinks = append(sinks, sharing)
 		m.SetSink(trace.NewTee(sinks...))
 	}

@@ -25,8 +25,8 @@ func TestBlockTidsAbsentWhenZero(t *testing.T) {
 
 func TestBlockTidBackfillAndExpansion(t *testing.T) {
 	var b Block
-	b.Append(Ref{Addr: 0x100, Size: 4, Kind: Read})     // before activation: tid 0
-	b.AppendRun(0x200, 4, Write, 3)                     // before activation: tid 0
+	b.Append(Ref{Addr: 0x100, Size: 4, Kind: Read}) // before activation: tid 0
+	b.AppendRun(0x200, 4, Write, 3)                 // before activation: tid 0
 	b.Append(Ref{Addr: 0x300, Size: 8, Kind: Write, Tid: 5})
 	b.AppendRunTid(0x400, 4, Read, 2, 7)
 	if len(b.Tids) != b.Len() {

@@ -214,9 +214,9 @@ func TestFilterBatch(t *testing.T) {
 }
 
 func TestSplit(t *testing.T) {
-	var c Counter      // BatchSink
-	var rec Recorder   // plain Sink (Refs is a field)
-	var rec2 Recorder  // second plain sink: remainder becomes a Tee
+	var c Counter     // BatchSink
+	var rec Recorder  // plain Sink (Refs is a field)
+	var rec2 Recorder // second plain sink: remainder becomes a Tee
 	fn := SinkFunc(func(Ref) {})
 
 	// All-batch graph: no remainder.

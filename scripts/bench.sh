@@ -66,12 +66,14 @@ if [ -d "$baseline" ]; then
   fi
 fi
 
-micro='BenchmarkCacheDirectMapped$|BenchmarkCacheGroupSweep$|BenchmarkCacheGroupBlockSweep$|BenchmarkStackSimTreap$|BenchmarkStackSimSweepExact$|BenchmarkStackSimSweepSampled$'
+micro='BenchmarkCacheDirectMapped$|BenchmarkCacheGroupSweep$|BenchmarkCacheGroupBlockSweep$|BenchmarkSharingMultiRegion$|BenchmarkStackSimRef$|BenchmarkStackSimSweepExact$|BenchmarkStackSimSweepSampled$'
 matrix='BenchmarkRunAllParallel$|BenchmarkServerWorkload$'
 
 {
   # Micro-benchmarks: cache simulator hot paths (per-ref and columnar
-  # block delivery) and the LRU stack engines (exact and sampled).
+  # block delivery), the sharing attributor over a server pair's
+  # multi-region layout, and the LRU stack engine (per-ref, and block
+  # exact and sampled).
   # Several iterations each so benchstat has samples.
   go test -run '^$' -bench "$micro" -benchtime "$benchtime" .
   # Full experiment matrix through the parallel runner, plus the
