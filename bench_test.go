@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -188,8 +189,9 @@ func BenchmarkCacheFourWay(b *testing.B) {
 	}
 }
 
-// BenchmarkStackSimRef drives the default (Fenwick) stack-distance
-// engine one Ref at a time with a hot/cold paging stream.
+// BenchmarkStackSimRef drives the default (ring over Fenwick tree)
+// stack-distance engine one Ref at a time with a hot/cold paging
+// stream.
 func BenchmarkStackSimRef(b *testing.B) {
 	s := vm.NewStackSim()
 	r := rng.New(3)
@@ -285,11 +287,11 @@ func BenchmarkCacheGroupBlockSweep(b *testing.B) {
 }
 
 // BenchmarkStackSimSweepExact and BenchmarkStackSimSweepSampled drive
-// the default (Fenwick) stack-distance engine with an identical
-// hot/cold paging stream in block mode, exact versus page-sampled at
-// rate 1/256 (WithSampleShift(8)). Their ns/op ratio is the speedup the
-// sampled mode buys on reconnaissance sweeps; the exact mode remains
-// the default and the only one the golden figures accept.
+// the default (ring over Fenwick tree) stack-distance engine with an
+// identical hot/cold paging stream in block mode, exact versus
+// page-sampled at rate 1/256 (WithSampleShift(8)). Their ns/op ratio is
+// the speedup the sampled mode buys on reconnaissance sweeps; the exact
+// mode remains the default and the only one the golden figures accept.
 func benchStackSimSweep(b *testing.B, opts ...vm.Option) {
 	s := vm.NewStackSim(opts...)
 	r := rng.New(3)
@@ -312,6 +314,68 @@ func benchStackSimSweep(b *testing.B, opts ...vm.Option) {
 
 func BenchmarkStackSimSweepExact(b *testing.B)   { benchStackSimSweep(b) }
 func BenchmarkStackSimSweepSampled(b *testing.B) { benchStackSimSweep(b, vm.WithSampleShift(8)) }
+
+// blockRecorder keeps a copy of every block a producer flushes (the
+// producer reuses its block, so the columns are cloned) and of every
+// synchronously delivered reference, as a one-row block.
+type blockRecorder struct{ blocks []trace.Block }
+
+func (r *blockRecorder) Ref(ref trace.Ref) {
+	var blk trace.Block
+	blk.Append(ref)
+	r.blocks = append(r.blocks, blk)
+}
+
+func (r *blockRecorder) Block(b *trace.Block) {
+	r.blocks = append(r.blocks, trace.Block{
+		Addrs: slices.Clone(b.Addrs),
+		Sizes: slices.Clone(b.Sizes),
+		Kinds: slices.Clone(b.Kinds),
+		Runs:  slices.Clone(b.Runs),
+		Tids:  slices.Clone(b.Tids),
+	})
+}
+
+// BenchmarkStackSimPairReplay replays one paging pair's recorded
+// reference stream — gs/firstfit at the golden scale, seed 1, as
+// mem.Memory flushes it to the sinks of a paper.Runner pair — into a
+// fresh exact StackSim per op. It is the stack simulator's stage of
+// the layer ladder: the same work vm.StackSim does inside the
+// paper-paging experiments, with real page locality, where
+// BenchmarkStackSimSweepExact's random addresses have almost none.
+func BenchmarkStackSimPairReplay(b *testing.B) {
+	prog, ok := workload.ByName("gs")
+	if !ok {
+		b.Fatal("unknown program gs")
+	}
+	rec := &blockRecorder{}
+	m := mem.New(rec, &cost.Meter{})
+	m.SetBatching(0)
+	a, err := alloc.New("firstfit", m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := workload.Config{Program: prog, Scale: paper.GoldenScale, Seed: 1}
+	if _, err := workload.RunContext(context.Background(), m, a, cfg); err != nil {
+		b.Fatal(err)
+	}
+	m.Flush()
+	var refs int
+	for i := range rec.blocks {
+		refs += rec.blocks[i].Refs()
+	}
+	b.ResetTimer()
+	var pages int
+	for i := 0; i < b.N; i++ {
+		s := vm.NewStackSim()
+		for j := range rec.blocks {
+			s.Block(&rec.blocks[j])
+		}
+		pages = s.DistinctPages()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(refs)), "ns/ref")
+	b.ReportMetric(float64(pages), "distinct-pages")
+}
 
 // BenchmarkSharingMultiRegion feeds a fresh sharing attributor one
 // block laid out like a server pair's address space — three allocator

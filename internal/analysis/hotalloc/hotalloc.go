@@ -23,10 +23,11 @@
 // warm, reused buffer is the hot paths' working idiom, and the
 // AllocsPerRun regression tests (cache/vm zeroalloc tests) pin the
 // warmed steady state to 0 allocs/op dynamically. Cold-path helpers
-// called from hot functions (pageDir.materialize, mem.Memory.page) are
-// not in the hot set: materializing a page on first touch is the
-// documented amortized exception, and the dynamic tests hold it to
-// account.
+// called from hot functions (pageDir.materialize, mem.Memory.page,
+// vm's pageTable.page and fenwick.compact) are not in the hot set:
+// materializing a page on first touch and growing the slot space are
+// the documented amortized exceptions, and the dynamic tests hold them
+// to account.
 package hotalloc
 
 import (
@@ -60,8 +61,10 @@ var hotFuncs = map[string]map[string]map[string]bool{
 		"Sharing":    set("Ref", "Refs", "Block", "access", "runRow", "accessLine"),
 	},
 	"vm": {
-		"StackSim": set("Ref", "Block", "foldRepeats", "accessPage", "record"),
-		"mtfList":  set("access"),
+		"StackSim":  set("Ref", "Block", "foldRepeats", "accessPage", "record"),
+		"fenwick":   set("access", "prefix", "add"),
+		"pageTable": set("ref"),
+		"mtfList":   set("access"),
 	},
 	"trace": {
 		"Block": set("Append", "AppendRun", "AppendRunTid", "AppendRefs", "Reset"),

@@ -51,13 +51,12 @@ func genPageBlock(r *rng.Rand, rows int) *trace.Block {
 }
 
 // TestStackSimBlockEquivalence: Block delivery must reproduce the exact
-// Curve of per-reference delivery — for the default engine, the treap
-// and the list cross-checks, and in sampled mode (where the verdict of
-// the deterministic page filter is part of the fold).
+// Curve of per-reference delivery — for the default engine, the list
+// cross-check, and in sampled mode (where the verdict of the
+// deterministic page filter is part of the fold).
 func TestStackSimBlockEquivalence(t *testing.T) {
 	modes := map[string][]Option{
 		"fenwick": nil,
-		"treap":   {WithTreapEngine()},
 		"list":    {WithListEngine()},
 		"sampled": {WithSampleShift(3)},
 		"page1k":  {WithPageSize(1024)},

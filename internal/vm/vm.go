@@ -10,12 +10,12 @@
 // is then the number of references at distance >= M plus the cold
 // (first-touch) references.
 //
-// Three exact engines are provided: a simple move-to-front list
-// (O(depth) per reference, used as the oracle in tests), an
-// order-statistics treap with deterministic priorities, and a
-// Fenwick-tree engine after Bennett & Kruskal (O(log n) per reference
-// over flat arrays, the default). All three produce identical
-// distances.
+// Two exact engines are provided. The default is a two-tier LRU stack:
+// a 32-page most-recently-used ring answers a page at distance d < 32
+// in O(d), and a Fenwick tree after Bennett & Kruskal holds the deeper
+// pages (O(log n) over flat arrays). A simple move-to-front list
+// (O(depth) per reference) is the oracle in tests. Both produce
+// identical distances.
 //
 // Orthogonally, WithSampleShift enables sampled stack distances: only
 // pages selected by a deterministic address hash (rate 2^-k) go through
@@ -27,6 +27,7 @@ package vm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mallocsim/internal/mem"
 	"mallocsim/internal/trace"
@@ -196,14 +197,6 @@ func WithListEngine() Option {
 	return func(s *StackSim) { s.eng = newMTFList() }
 }
 
-// WithTreapEngine selects the order-statistics treap engine instead of
-// the default Fenwick tree. The two produce identical distances; the
-// treap is kept for cross-checking and for address spaces so sparse
-// that the paged slot table would thrash.
-func WithTreapEngine() Option {
-	return func(s *StackSim) { s.eng = newTreap() }
-}
-
 // WithSampleShift enables sampled stack distances at rate 2^-k (k = 0
 // keeps exact simulation). Pages are selected by a deterministic
 // SplitMix64-style hash of the page number — no global RNG, identical
@@ -292,8 +285,11 @@ func (s *StackSim) Block(b *trace.Block) {
 			if n == 0 {
 				continue
 			}
-			if size == 0 || addr%size != 0 || s.pageSize%size != 0 ||
-				size*n-1 > ^uint64(0)-addr {
+			// A size dividing the power-of-two page size is a power of
+			// two no larger than it, so masks and shifts replace the
+			// divisions of the aligned contract.
+			if size == 0 || size&(size-1) != 0 || size > s.pageSize ||
+				addr&(size-1) != 0 || size*n-1 > ^uint64(0)-addr {
 				// Run row outside the aligned contract: expand it
 				// reference by reference through the exact path.
 				if repeats != 0 {
@@ -315,7 +311,8 @@ func (s *StackSim) Block(b *trace.Block) {
 			// the cross-row repeat accumulator below — with the same
 			// flush-before-page-switch discipline, so the histogram is
 			// byte-identical to element-by-element simulation.
-			k := (s.pageSize - addr&(s.pageSize-1)) / size
+			sizeShift := uint(bits.TrailingZeros64(size))
+			k := (s.pageSize - addr&(s.pageSize-1)) >> sizeShift
 			if k > n {
 				k = n
 			}
@@ -338,7 +335,7 @@ func (s *StackSim) Block(b *trace.Block) {
 					break
 				}
 				p++
-				if k = s.pageSize / size; k > n {
+				if k = s.pageSize >> sizeShift; k > n {
 					k = n
 				}
 			}
@@ -398,7 +395,7 @@ func (s *StackSim) accessPage(p uint64) {
 	}
 	s.lastPage = p
 	s.havePage = true
-	if s.shift != 0 && hashPrio(p)&s.sampleMask != 0 {
+	if s.shift != 0 && pageHash(p)&s.sampleMask != 0 {
 		s.lastSampled = false
 		return
 	}
@@ -409,6 +406,15 @@ func (s *StackSim) accessPage(p uint64) {
 		return
 	}
 	s.record(d << s.shift)
+}
+
+// pageHash is the SplitMix64 finalizer: the deterministic page filter
+// of sampled mode.
+func pageHash(page uint64) uint64 {
+	z := page + 0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 func (s *StackSim) record(d int) {

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -142,9 +143,9 @@ func TestAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestTreapMatchesList(t *testing.T) {
+func TestDefaultEngineMatchesList(t *testing.T) {
 	r := rng.New(99)
-	treapSim := NewStackSim()
+	sim := NewStackSim()
 	listSim := NewStackSim(WithListEngine())
 	for i := 0; i < 30000; i++ {
 		var p uint64
@@ -153,10 +154,10 @@ func TestTreapMatchesList(t *testing.T) {
 		} else {
 			p = r.Uint64n(500)
 		}
-		treapSim.Ref(pageRef(p))
+		sim.Ref(pageRef(p))
 		listSim.Ref(pageRef(p))
 	}
-	a, b := treapSim.Curve(), listSim.Curve()
+	a, b := sim.Curve(), listSim.Curve()
 	if a.Cold != b.Cold || a.Refs != b.Refs {
 		t.Fatalf("cold/refs mismatch: %d/%d vs %d/%d", a.Cold, a.Refs, b.Cold, b.Refs)
 	}
@@ -165,15 +166,18 @@ func TestTreapMatchesList(t *testing.T) {
 	}
 	for d := range a.Hist {
 		if a.Hist[d] != b.Hist[d] {
-			t.Fatalf("hist[%d]: treap %d list %d", d, a.Hist[d], b.Hist[d])
+			t.Fatalf("hist[%d]: default %d list %d", d, a.Hist[d], b.Hist[d])
 		}
 	}
-	if treapSim.DistinctPages() != listSim.DistinctPages() {
+	if sim.DistinctPages() != listSim.DistinctPages() {
 		t.Error("distinct pages differ")
 	}
 }
 
-// Property: treap and list engines agree on arbitrary short traces.
+// Property: the default and list engines agree on arbitrary short
+// traces. Over 32 pages the default engine's ring holds every page, so
+// this checks the ring tier alone; TestEngineTierBoundaries and
+// FuzzStackSimEngines reach the tree below it.
 func TestQuickEnginesAgree(t *testing.T) {
 	prop := func(raw []byte) bool {
 		a := NewStackSim()
@@ -196,6 +200,112 @@ func TestQuickEnginesAgree(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestEngineTierBoundaries compares the default engine with the list
+// oracle on streams placed around its ring/tree boundary. A stream
+// over at most 32 pages never leaves the ring; one page more sends
+// every access through a demotion into the tree; and enough demotions
+// fill the slot space, so that a demoting access compacts it — a tree
+// hit (whose own slot the compaction remaps) or a cold access (which
+// grows the slot space).
+func TestEngineTierBoundaries(t *testing.T) {
+	cycle := func(pages, refs int) []uint64 {
+		seq := make([]uint64, refs)
+		for i := range seq {
+			seq[i] = uint64(i % pages)
+		}
+		return seq
+	}
+	r := rng.New(11)
+	random := func(pages uint64, refs int) []uint64 {
+		seq := make([]uint64, refs)
+		for i := range seq {
+			seq[i] = r.Uint64n(pages)
+		}
+		return seq
+	}
+	cases := []struct {
+		name string
+		seq  []uint64
+		opts []Option
+		// tree: the stream must demote pages into the tree; compact:
+		// the kind of demoting access that must trigger a compaction.
+		tree    bool
+		compact string
+	}{
+		{name: "31 pages", seq: cycle(31, 4000)},
+		{name: "32 pages", seq: cycle(32, 4000)},
+		{name: "33 pages", seq: cycle(33, 4000), tree: true, compact: "tree hit"},
+		{name: "ring never fills", seq: random(8, 4000)},
+		{name: "compaction on a cold access", seq: cycle(3000, 3000), tree: true, compact: "cold access"},
+		{name: "sampled", seq: random(2000, 40000), opts: []Option{WithSampleShift(2)}, tree: true, compact: "tree hit"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewStackSim(tc.opts...)
+			list := NewStackSim(append(tc.opts, WithListEngine())...)
+			f := s.eng.(*fenwick)
+			demoted, compacted := false, map[string]bool{}
+			for _, p := range tc.seq {
+				next, slots, slot := f.next, len(f.pageOf), f.slots.get(p)
+				s.Ref(pageRef(p))
+				list.Ref(pageRef(p))
+				demoted = demoted || f.next != next
+				// A compaction leaves fewer slots in use, or (when every
+				// slot was live) a grown slot space.
+				if f.next < next || len(f.pageOf) != slots {
+					kind := "cold access"
+					if slot > 0 {
+						kind = "tree hit"
+					}
+					compacted[kind] = true
+				}
+			}
+			if !reflect.DeepEqual(s.Curve(), list.Curve()) {
+				t.Fatalf("curves differ\ndefault: %+v\nlist:    %+v", s.Curve(), list.Curve())
+			}
+			if s.DistinctPages() != list.DistinctPages() {
+				t.Fatalf("distinct pages: default %d, list %d", s.DistinctPages(), list.DistinctPages())
+			}
+			if demoted != tc.tree {
+				t.Errorf("stream demoted into the tree: %v, want %v", demoted, tc.tree)
+			}
+			if tc.compact != "" && !compacted[tc.compact] {
+				t.Errorf("no compaction on a %s (compactions seen: %v)", tc.compact, compacted)
+			}
+		})
+	}
+}
+
+// FuzzStackSimEngines runs the default and list engines over a stream
+// of up to 200 pages derived from the input, replayed four times so
+// that short inputs still cycle pages through the ring, the tree and
+// compaction, and compares their curves and distinct-page counts.
+func FuzzStackSimEngines(f *testing.F) {
+	for _, n := range []int{31, 32, 33, 200} {
+		seed := make([]byte, 4*n)
+		for i := range seed {
+			seed[i] = byte(i % n)
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, list := NewStackSim(), NewStackSim(WithListEngine())
+		for rep := 0; rep < 4; rep++ {
+			for _, v := range data {
+				p := uint64(v) % 200
+				s.Ref(pageRef(p))
+				list.Ref(pageRef(p))
+			}
+		}
+		if !reflect.DeepEqual(s.Curve(), list.Curve()) {
+			t.Fatalf("curves differ\ndefault: %+v\nlist:    %+v", s.Curve(), list.Curve())
+		}
+		if s.DistinctPages() != list.DistinctPages() {
+			t.Fatalf("distinct pages: default %d, list %d", s.DistinctPages(), list.DistinctPages())
+		}
+	})
 }
 
 func TestWithPageSizeOption(t *testing.T) {

@@ -30,7 +30,7 @@ func stackSimBlock() *trace.Block {
 func TestStackSimSampledBlockZeroAlloc(t *testing.T) {
 	s := NewStackSim(WithSampleShift(3))
 	b := stackSimBlock()
-	s.Block(b) // materialize slot table, engine nodes and histogram
+	s.Block(b) // materialize page table, slot space and histogram
 	s.Block(b) // second pass reaches the steady reuse-distance profile
 	if avg := testing.AllocsPerRun(20, func() { s.Block(b) }); avg != 0 {
 		t.Errorf("warmed sampled StackSim.Block allocates %.1f allocs/op, want 0", avg)

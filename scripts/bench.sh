@@ -66,14 +66,15 @@ if [ -d "$baseline" ]; then
   fi
 fi
 
-micro='BenchmarkCacheDirectMapped$|BenchmarkCacheGroupSweep$|BenchmarkCacheGroupBlockSweep$|BenchmarkSharingMultiRegion$|BenchmarkStackSimRef$|BenchmarkStackSimSweepExact$|BenchmarkStackSimSweepSampled$'
+micro='BenchmarkCacheDirectMapped$|BenchmarkCacheGroupSweep$|BenchmarkCacheGroupBlockSweep$|BenchmarkSharingMultiRegion$|BenchmarkStackSimRef$|BenchmarkStackSimSweepExact$|BenchmarkStackSimSweepSampled$|BenchmarkStackSimPairReplay$'
 matrix='BenchmarkRunAllParallel$|BenchmarkServerWorkload$'
 
 {
   # Micro-benchmarks: cache simulator hot paths (per-ref and columnar
   # block delivery), the sharing attributor over a server pair's
-  # multi-region layout, and the LRU stack engine (per-ref, and block
-  # exact and sampled).
+  # multi-region layout, and the LRU stack engine (per-ref, block
+  # exact and sampled, and the replay of a recorded gs/firstfit
+  # stream).
   # Several iterations each so benchstat has samples.
   go test -run '^$' -bench "$micro" -benchtime "$benchtime" .
   # Full experiment matrix through the parallel runner, plus the
