@@ -336,22 +336,20 @@ func (r *blockRecorder) Block(b *trace.Block) {
 	})
 }
 
-// BenchmarkStackSimPairReplay replays one paging pair's recorded
-// reference stream — gs/firstfit at the golden scale, seed 1, as
-// mem.Memory flushes it to the sinks of a paper.Runner pair — into a
-// fresh exact StackSim per op. It is the stack simulator's stage of
-// the layer ladder: the same work vm.StackSim does inside the
-// paper-paging experiments, with real page locality, where
-// BenchmarkStackSimSweepExact's random addresses have almost none.
-func BenchmarkStackSimPairReplay(b *testing.B) {
-	prog, ok := workload.ByName("gs")
+// recordPair runs one program/allocator pair at the golden scale, seed
+// 1, and returns the blocks mem.Memory flushes to the sinks of a
+// paper.Runner pair, with their total reference count. It runs outside
+// the timer of the replay benchmarks that share it.
+func recordPair(b *testing.B, program, allocator string) ([]trace.Block, int) {
+	b.Helper()
+	prog, ok := workload.ByName(program)
 	if !ok {
-		b.Fatal("unknown program gs")
+		b.Fatalf("unknown program %s", program)
 	}
 	rec := &blockRecorder{}
 	m := mem.New(rec, &cost.Meter{})
 	m.SetBatching(0)
-	a, err := alloc.New("firstfit", m)
+	a, err := alloc.New(allocator, m)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -364,17 +362,91 @@ func BenchmarkStackSimPairReplay(b *testing.B) {
 	for i := range rec.blocks {
 		refs += rec.blocks[i].Refs()
 	}
+	return rec.blocks, refs
+}
+
+// nsPerRef reports a replay benchmark's elapsed time per replayed
+// reference.
+func nsPerRef(b *testing.B, refs int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(refs)), "ns/ref")
+}
+
+// BenchmarkStackSimPairReplay replays one paging pair's recorded
+// reference stream — gs/firstfit at the golden scale, seed 1, as
+// mem.Memory flushes it to the sinks of a paper.Runner pair — into a
+// fresh exact StackSim per op. It is the stack simulator's stage of
+// the layer ladder: the same work vm.StackSim does inside the
+// paper-paging experiments, with real page locality, where
+// BenchmarkStackSimSweepExact's random addresses have almost none.
+func BenchmarkStackSimPairReplay(b *testing.B) {
+	blocks, refs := recordPair(b, "gs", "firstfit")
 	b.ResetTimer()
 	var pages int
 	for i := 0; i < b.N; i++ {
 		s := vm.NewStackSim()
-		for j := range rec.blocks {
-			s.Block(&rec.blocks[j])
+		for j := range blocks {
+			s.Block(&blocks[j])
 		}
 		pages = s.DistinctPages()
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(refs)), "ns/ref")
+	nsPerRef(b, refs)
 	b.ReportMetric(float64(pages), "distinct-pages")
+}
+
+// BenchmarkCacheGroupPairReplay replays the same recorded gs/firstfit
+// stream into a fresh cache.Group per op: the cache group's stage of
+// the layer ladder. Two member shapes select Group's two block paths —
+// paper, the five direct-mapped paper caches, runs fusedScan; assoc,
+// 16K direct, 32K 2-way and 64K 4-way, runs decompose+replay — and
+// each shape is delivered both as the flushed blocks (block) and as
+// the unbatched per-reference stream (ref). block against ref on each
+// shape is the measured reason both block paths stay.
+func BenchmarkCacheGroupPairReplay(b *testing.B) {
+	blocks, refs := recordPair(b, "gs", "firstfit")
+	var flat []trace.Ref
+	for i := range blocks {
+		flat = blocks[i].AppendRefs(flat)
+	}
+	paperCfgs := make([]cache.Config, len(paper.CacheSizes))
+	for i, s := range paper.CacheSizes {
+		paperCfgs[i] = cache.Config{Size: s}
+	}
+	shapes := []struct {
+		name string
+		cfgs []cache.Config
+	}{
+		{"paper", paperCfgs},
+		{"assoc", []cache.Config{{Size: 16 << 10}, {Size: 32 << 10, Assoc: 2}, {Size: 64 << 10, Assoc: 4}}},
+	}
+	deliveries := []struct {
+		name    string
+		deliver func(g *cache.Group)
+	}{
+		{"block", func(g *cache.Group) {
+			for j := range blocks {
+				g.Block(&blocks[j])
+			}
+		}},
+		{"ref", func(g *cache.Group) {
+			for _, r := range flat {
+				g.Ref(r)
+			}
+		}},
+	}
+	for _, sh := range shapes {
+		for _, d := range deliveries {
+			b.Run(sh.name+"/"+d.name, func(b *testing.B) {
+				var lines uint64
+				for i := 0; i < b.N; i++ {
+					g := cache.NewGroup(sh.cfgs...)
+					d.deliver(g)
+					lines = g.DistinctLines()
+				}
+				nsPerRef(b, refs)
+				b.ReportMetric(float64(lines), "distinct-lines")
+			})
+		}
+	}
 }
 
 // BenchmarkSharingMultiRegion feeds a fresh sharing attributor one

@@ -53,12 +53,11 @@ var Analyzer = &analysis.Analyzer{
 // allocations.
 var hotFuncs = map[string]map[string]map[string]bool{
 	"cache": {
-		"Group":      set("Ref", "accessLine", "Block", "fusedScan", "probeEntry", "probeRun", "decompose", "replay"),
-		"Cache":      set("Ref", "Block", "accessLine", "accessLineRun"),
-		"lineSet":    set("add", "addRange"),
-		"pageDir":    set("lookup", "find"),
-		"groupShard": set("process", "access"),
-		"Sharing":    set("Ref", "Refs", "Block", "access", "runRow", "accessLine"),
+		"Group":   set("Ref", "accessLine", "Block", "fusedScan", "probeEntry", "probeRun", "decompose", "replay"),
+		"Cache":   set("Ref", "Block", "accessLine", "accessLineRun"),
+		"lineSet": set("add", "addRange"),
+		"pageDir": set("lookup", "find"),
+		"Sharing": set("Ref", "Refs", "Block", "access", "runRow", "accessLine"),
 	},
 	"vm": {
 		"StackSim":  set("Ref", "Block", "foldRepeats", "accessPage", "record"),

@@ -111,10 +111,10 @@ func TestCacheBlockEquivalence(t *testing.T) {
 }
 
 // groupVariants are the Group shapes that select each bulk code path:
-// the fused single-pass scan (all direct mapped, no flush/nwa), the
-// decompose+replay path (associative members), and the per-ref
-// fallback (flush intervals and no-write-allocate disable run
-// collapsing).
+// the fused single-pass scan (all direct mapped, no flush/nwa),
+// decompose+replay with run collapsing (associative members), and
+// decompose's per-access branch (flush intervals and no-write-allocate
+// disable run collapsing).
 func groupVariants() map[string][]Config {
 	return map[string][]Config{
 		"fused": {
@@ -133,9 +133,10 @@ func groupVariants() map[string][]Config {
 	}
 }
 
-// TestGroupBlockEquivalence: Group.Block (fused scan, decompose+replay
-// and the fallback) must match per-reference delivery on every member's
-// counters and on the distinct-line census.
+// TestGroupBlockEquivalence: Group.Block (fused scan, and
+// decompose+replay with and without run collapsing) must match
+// per-reference delivery on every member's counters and on the
+// distinct-line census.
 func TestGroupBlockEquivalence(t *testing.T) {
 	for name, cfgs := range groupVariants() {
 		t.Run(name, func(t *testing.T) {
@@ -156,76 +157,6 @@ func TestGroupBlockEquivalence(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestGroupShardEquivalence: sharded simulation must be byte-identical
-// to the single-goroutine group at any worker count — shard partitions
-// are disjoint per set, and the counters are order-independent sums.
-// The race detector (CI runs the suite with -race) checks the
-// chunk-handoff synchronization while this test checks the numbers.
-func TestGroupShardEquivalence(t *testing.T) {
-	cfgs := []Config{
-		{Size: 16 << 10}, {Size: 64 << 10}, {Size: 256 << 10},
-	}
-	for _, workers := range []int{1, 8} {
-		for seed := uint64(1); seed <= 2; seed++ {
-			blocks := genBlocks(seed, 6, 512)
-			plain, sharded := NewGroup(cfgs...), NewGroup(cfgs...)
-			started := sharded.StartShards(workers)
-			if workers == 1 && started != 0 {
-				t.Fatalf("StartShards(1) started %d shards, want none", started)
-			}
-			if workers == 8 && started != 8 {
-				t.Fatalf("StartShards(8) started %d shards, want 8", started)
-			}
-			deliverRefs(plain, blocks)
-			for _, b := range blocks {
-				sharded.Block(b)
-			}
-			sharded.Stop()
-			if !reflect.DeepEqual(plain.Results(), sharded.Results()) {
-				t.Fatalf("workers=%d seed=%d: sharded results diverged:\nplain:   %+v\nsharded: %+v",
-					workers, seed, plain.Results(), sharded.Results())
-			}
-			if plain.DistinctLines() != sharded.DistinctLines() {
-				t.Fatalf("workers=%d seed=%d: distinct lines diverged: %d vs %d",
-					workers, seed, plain.DistinctLines(), sharded.DistinctLines())
-			}
-		}
-	}
-}
-
-// TestGroupShardRefAndBatchPaths: while sharding is active the Ref and
-// Refs tiers route through the workers too; all three tiers must agree
-// with the unsharded oracle.
-func TestGroupShardRefAndBatchPaths(t *testing.T) {
-	cfgs := []Config{{Size: 16 << 10}, {Size: 64 << 10}}
-	blocks := genBlocks(7, 3, 256)
-	var refs []trace.Ref
-	for _, b := range blocks {
-		refs = b.AppendRefs(refs)
-	}
-	plain := NewGroup(cfgs...)
-	deliverRefs(plain, blocks)
-
-	viaRef := NewGroup(cfgs...)
-	viaRef.StartShards(4)
-	for _, r := range refs {
-		viaRef.Ref(r)
-	}
-	viaRef.Stop()
-
-	viaBatch := NewGroup(cfgs...)
-	viaBatch.StartShards(4)
-	viaBatch.Refs(refs)
-	viaBatch.Stop()
-
-	if !reflect.DeepEqual(plain.Results(), viaRef.Results()) {
-		t.Fatalf("sharded Ref path diverged:\nplain: %+v\nshard: %+v", plain.Results(), viaRef.Results())
-	}
-	if !reflect.DeepEqual(plain.Results(), viaBatch.Results()) {
-		t.Fatalf("sharded Refs path diverged:\nplain: %+v\nshard: %+v", plain.Results(), viaBatch.Results())
 	}
 }
 

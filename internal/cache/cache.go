@@ -19,7 +19,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"sync"
 
 	"mallocsim/internal/mem"
 	"mallocsim/internal/trace"
@@ -33,7 +32,8 @@ type Config struct {
 	// Size is the total capacity in bytes. Must be a power of two and a
 	// multiple of LineSize*Assoc.
 	Size uint64
-	// LineSize is the block size in bytes (power of two). Defaults to 32.
+	// LineSize is the block size in bytes: a power of two no smaller
+	// than mem.WordSize. Defaults to 32.
 	LineSize uint64
 	// Assoc is the set associativity; 1 (direct-mapped) if zero.
 	Assoc int
@@ -90,6 +90,9 @@ func (c Config) Validate() error {
 	if c.LineSize == 0 || c.LineSize&(c.LineSize-1) != 0 {
 		return fmt.Errorf("cache: line size %d not a power of two", c.LineSize)
 	}
+	if c.LineSize < mem.WordSize {
+		return fmt.Errorf("cache: line size %d smaller than the %d-byte word", c.LineSize, mem.WordSize)
+	}
 	if c.Assoc < 1 {
 		return fmt.Errorf("cache: associativity must be >= 1")
 	}
@@ -119,7 +122,8 @@ type Cache struct {
 	// valid tags are packed as line<<1 | dirty — the same packing the
 	// group's decomposed line stream uses (line<<1 | writeBit), so the
 	// hot hit test is a single XOR: t^packed < 2 iff same line, and
-	// invalidTag can never satisfy it (lines fit in 60 bits).
+	// invalidTag can never satisfy it (Validate holds lines to at least
+	// a word, so line numbers fit in 62 bits and packed tags in 63).
 	tags []uint64
 
 	accesses   uint64
@@ -414,10 +418,6 @@ func (s *lineSet) addRange(first, last uint64) {
 	}
 }
 
-// empty reports whether no line has ever been added (pages are only
-// allocated by add, so page presence is membership evidence).
-func (s *lineSet) empty() bool { return s.dir.empty() }
-
 // distinct counts the set bits across all pages: the number of distinct
 // lines added. O(allocated pages), called only from result assembly.
 func (s *lineSet) distinct() uint64 {
@@ -430,23 +430,23 @@ func (s *lineSet) distinct() uint64 {
 	return n
 }
 
-// merge ORs another set's pages into this one (used when shard workers
-// fold their disjoint partitions back into the group at Stop).
-func (s *lineSet) merge(o *lineSet) {
-	o.dir.each(func(idx uint64, src *lineSetPage) {
-		dst := s.dir.lookup(idx)
-		for w, v := range src {
-			dst[w] |= v
-		}
-	})
-}
-
 // Group feeds one reference stream to several cache configurations and
 // tracks the distinct-line (cold miss) count once for all of them. It
-// implements trace.Sink, trace.BatchSink and trace.BlockSink: columnar
-// blocks take the fastest path, decomposing every address into a
-// run-length-collapsed cache-line stream once and replaying that stream
-// across all member configurations.
+// implements trace.Sink, trace.BatchSink and trace.BlockSink, with three
+// delivery paths that all produce identical counters:
+//
+//   - Ref (and Refs) splits each reference into lines and probes every
+//     member line by line. It serves unbatched pipelines, where a
+//     mem.Memory without SetBatching delivers one reference at a time
+//     (examples/custom).
+//   - Block on a fused group (every member direct mapped,
+//     write-allocate, no flush interval: the paper's configuration) runs
+//     fusedScan, which probes every member as each collapsed line run
+//     closes.
+//   - Block on any other group decomposes the block into a line stream
+//     once and replays that stream across the members (decompose, then
+//     replay): run-collapsed for associative members, one entry per
+//     access when a member is no-write-allocate or has a flush interval.
 type Group struct {
 	caches []*Cache
 	// seen tracks distinct line numbers (the shared cold-miss count).
@@ -455,7 +455,8 @@ type Group struct {
 	// fused is true when every member is a plain direct-mapped
 	// write-allocate cache with no flush interval — the paper's exact
 	// configuration — letting accessLine run one fused loop over the
-	// members' tag arrays instead of a virtual call per cache.
+	// members' tag arrays instead of a call per cache, and Block run
+	// fusedScan.
 	fused bool
 	// rleOK is true when every member is write-allocate with no flush
 	// interval: consecutive accesses to one cache line may then be
@@ -467,10 +468,9 @@ type Group struct {
 	// Decomposed line stream of the block being replayed, reused across
 	// blocks. runLines packs line<<1|writeBit (the write bit of a
 	// collapsed run is the OR of its members); runCounts holds how many
-	// consecutive accesses each entry folds; runTotal is their sum.
+	// consecutive accesses each entry folds (rleOK groups only).
 	runLines  []uint64
 	runCounts []uint32
-	runTotal  uint64
 
 	// probes is fusedScan's flattened view of the member caches — tag
 	// array, scan-local miss/writeback accumulators and the member's
@@ -482,13 +482,6 @@ type Group struct {
 	// probeOrder holds the member indices sorted by ascending set
 	// count (stable, so equal-sized members keep config order).
 	probeOrder []int
-	// Per-set sharding (see StartShards); nil when disabled.
-	shards    []*groupShard
-	shardMask uint64
-	chunkFree chan shardChunk
-	pending   sync.WaitGroup
-	workersWG sync.WaitGroup
-	oneBlk    trace.Block
 }
 
 // NewGroup builds a group over the given configurations. All configs
@@ -540,15 +533,6 @@ type fusedProbe struct {
 // every member cache shares the group's line size, so each gets the
 // pre-split line number instead of redoing the shift/mask work.
 func (g *Group) Ref(r trace.Ref) {
-	if g.shards != nil {
-		// Sharded delivery: every reference must flow through the
-		// shard-partitioned line stream so the worker goroutines stay
-		// the sole writers of their set partitions.
-		g.oneBlk.Reset()
-		g.oneBlk.Append(r)
-		g.Block(&g.oneBlk)
-		return
-	}
 	first, last := span(r.Addr, r.Size, g.lineShift)
 	write := r.Kind == trace.Write
 	if first == last {
@@ -601,37 +585,16 @@ func (g *Group) Refs(batch []trace.Ref) {
 	}
 }
 
-// Block implements trace.BlockSink: the whole block's addresses are
-// decomposed into a run-length-collapsed line stream once, then that
-// stream is replayed across every member configuration (or routed to
-// the shard workers when sharding is active). Line numbers are packed
-// as line<<1|writeBit, which requires at least one free top bit — with
-// a degenerate 1-byte line size the per-reference path is used instead.
+// Block implements trace.BlockSink: a fused group scans the block in
+// one pass (fusedScan); any other group decomposes the block's
+// addresses into a line stream once and replays that stream across
+// every member configuration.
 func (g *Group) Block(b *trace.Block) {
-	if g.lineShift == 0 {
-		runs := b.Runs
-		for i := 0; i < b.Len(); i++ {
-			r := b.At(i)
-			n := uint32(1)
-			if runs != nil {
-				n = runs[i]
-			}
-			for ; n > 0; n-- {
-				g.Ref(r)
-				r.Addr += uint64(r.Size)
-			}
-		}
-		return
-	}
-	if g.shards == nil && g.fused {
+	if g.fused {
 		g.fusedScan(b)
 		return
 	}
 	g.decompose(b)
-	if g.shards != nil {
-		g.route()
-		return
-	}
 	g.replay()
 }
 
@@ -648,10 +611,10 @@ func runAligned(addr, sz, n uint64, shift uint) bool {
 }
 
 // fusedScan is the single-pass specialization of decompose+replay for
-// an unsharded all-direct-mapped write-allocate group: each collapsed
-// line run probes every member the moment it closes, so the block never
+// an all-direct-mapped write-allocate group: each collapsed line run
+// probes every member the moment it closes, so the block never
 // materializes an intermediate line stream. The probe order and all
-// counter updates match decompose+replay exactly.
+// counter updates match per-reference delivery exactly.
 func (g *Group) fusedScan(b *trace.Block) {
 	seen := g.seen
 	caches := g.caches
@@ -860,31 +823,21 @@ func (g *Group) probeRun(e0, n uint64) {
 }
 
 // decompose splits every reference in the block into cache-line
-// accesses, collapsing consecutive accesses to the same line into one
-// entry when the group's members allow it (rleOK; the write bit of a
-// collapsed entry is the OR of its members' write bits). The resulting
-// runLines/runCounts stream replays identically across every member,
-// hoisting the span/shift work that the per-reference path repeats per
-// config per ref.
+// accesses. When the group's members allow it (rleOK), consecutive
+// accesses to the same line collapse into one entry whose access count
+// goes to runCounts (the write bit of a collapsed entry is the OR of
+// its members' write bits); otherwise every access is its own entry
+// and runCounts is left empty. The resulting stream replays
+// identically across every member, hoisting the span/shift work that
+// the per-reference path repeats per config per ref. Distinct-line
+// tracking happens here, one add per emitted entry — identical to a
+// pass over the finished stream, without the extra traversal.
 func (g *Group) decompose(b *trace.Block) {
 	lines := g.runLines[:0]
 	counts := g.runCounts[:0]
-	// Run lengths are only consumed by the non-fused replay (per-entry
-	// bulk hits) and by the shard workers; the fused single-goroutine
-	// path charges accesses from the total alone, so skipping the counts
-	// column halves the stream-building stores on the hottest path.
-	needCounts := g.shards != nil || (g.rleOK && !g.fused)
-	// Distinct-line tracking happens here, at run-entry creation, when
-	// the stream is replayed on this goroutine (one add per emitted
-	// entry — identical to a pass over the finished stream, without the
-	// extra traversal). Shard workers track their own partitions.
 	seen := g.seen
-	if g.shards != nil {
-		seen = nil
-	}
 	shift := g.lineShift
 	runs := b.Runs
-	var total uint64
 	if g.rleOK {
 		var cur uint64
 		var curN uint32
@@ -903,7 +856,6 @@ func (g *Group) decompose(b *trace.Block) {
 					// collapse state.
 					for ; n > 0; n-- {
 						first, last := span(addr, b.Sizes[i], shift)
-						total += last - first + 1
 						for line := first; ; line++ {
 							if have && cur>>1 == line && curN < math.MaxUint32 {
 								cur |= w
@@ -911,14 +863,10 @@ func (g *Group) decompose(b *trace.Block) {
 							} else {
 								if have {
 									lines = append(lines, cur)
-									if needCounts {
-										counts = append(counts, curN)
-									}
+									counts = append(counts, curN)
 								}
 								cur, curN, have = line<<1|w, 1, true
-								if seen != nil {
-									seen.add(line)
-								}
+								seen.add(line)
 							}
 							if line == last {
 								break
@@ -931,12 +879,9 @@ func (g *Group) decompose(b *trace.Block) {
 				// Aligned run row: n single-line accesses walking lines
 				// first..last, with exact per-line counts computed in
 				// closed form instead of element by element.
-				total += uint64(n)
 				first := addr >> shift
 				last := (addr + sz*uint64(n) - 1) >> shift
-				if seen != nil {
-					seen.addRange(first, last)
-				}
+				seen.addRange(first, last)
 				firstCnt := n
 				if first != last {
 					firstCnt = uint32((((first + 1) << shift) - addr) / sz)
@@ -947,9 +892,7 @@ func (g *Group) decompose(b *trace.Block) {
 				} else {
 					if have {
 						lines = append(lines, cur)
-						if needCounts {
-							counts = append(counts, curN)
-						}
+						counts = append(counts, curN)
 					}
 					cur, curN, have = first<<1|w, firstCnt, true
 				}
@@ -967,9 +910,7 @@ func (g *Group) decompose(b *trace.Block) {
 						cnt = rem
 					}
 					lines = append(lines, cur)
-					if needCounts {
-						counts = append(counts, curN)
-					}
+					counts = append(counts, curN)
 					cur, curN = line<<1|w, cnt
 					if line == last {
 						break
@@ -979,7 +920,6 @@ func (g *Group) decompose(b *trace.Block) {
 				continue
 			}
 			first, last := span(addr, b.Sizes[i], shift)
-			total += last - first + 1
 			if first == last {
 				// Single-line reference: the overwhelming case for a
 				// word-granular stream, kept free of the line loop.
@@ -990,14 +930,10 @@ func (g *Group) decompose(b *trace.Block) {
 				}
 				if have {
 					lines = append(lines, cur)
-					if needCounts {
-						counts = append(counts, curN)
-					}
+					counts = append(counts, curN)
 				}
 				cur, curN, have = first<<1|w, 1, true
-				if seen != nil {
-					seen.add(first)
-				}
+				seen.add(first)
 				continue
 			}
 			for line := first; ; line++ {
@@ -1007,14 +943,10 @@ func (g *Group) decompose(b *trace.Block) {
 				} else {
 					if have {
 						lines = append(lines, cur)
-						if needCounts {
-							counts = append(counts, curN)
-						}
+						counts = append(counts, curN)
 					}
 					cur, curN, have = line<<1|w, 1, true
-					if seen != nil {
-						seen.add(line)
-					}
+					seen.add(line)
 				}
 				if line == last {
 					break
@@ -1023,13 +955,11 @@ func (g *Group) decompose(b *trace.Block) {
 		}
 		if have {
 			lines = append(lines, cur)
-			if needCounts {
-				counts = append(counts, curN)
-			}
+			counts = append(counts, curN)
 		}
 	} else {
 		// Not collapsible (flush intervals or no-write-allocate members
-		// need every access): one entry per line access, all counts 1.
+		// need every access): one entry per line access, no counts.
 		for i, addr := range b.Addrs {
 			w := uint64(b.Kinds[i]) & 1
 			if runs != nil && runs[i] != 1 {
@@ -1042,12 +972,9 @@ func (g *Group) decompose(b *trace.Block) {
 				if !runAligned(addr, sz, uint64(n), shift) {
 					for ; n > 0; n-- {
 						first, last := span(a, b.Sizes[i], shift)
-						total += last - first + 1
 						for line := first; ; line++ {
 							lines = append(lines, line<<1|w)
-							if seen != nil {
-								seen.add(line)
-							}
+							seen.add(line)
 							if line == last {
 								break
 							}
@@ -1056,76 +983,31 @@ func (g *Group) decompose(b *trace.Block) {
 					}
 					continue
 				}
-				total += uint64(n)
 				for ; n > 0; n-- {
 					line := a >> shift
 					lines = append(lines, line<<1|w)
-					if seen != nil {
-						seen.add(line)
-					}
+					seen.add(line)
 					a += sz
 				}
 				continue
 			}
 			first, last := span(addr, b.Sizes[i], shift)
-			total += last - first + 1
 			for line := first; ; line++ {
 				lines = append(lines, line<<1|w)
-				if seen != nil {
-					seen.add(line)
-				}
+				seen.add(line)
 				if line == last {
 					break
 				}
 			}
 		}
-		if needCounts {
-			for len(counts) < len(lines) {
-				counts = append(counts, 1)
-			}
-			counts = counts[:len(lines)]
-		}
 	}
-	g.runLines, g.runCounts, g.runTotal = lines, counts, total
+	g.runLines, g.runCounts = lines, counts
 }
 
-// replay feeds the decomposed line stream to every member cache on the
-// calling goroutine. Distinct-line tracking already happened during
-// decomposition.
+// replay feeds the decomposed line stream to every member cache.
+// Distinct-line tracking already happened during decomposition.
 func (g *Group) replay() {
 	lines := g.runLines
-	if g.fused {
-		// Every member is plain direct-mapped write-allocate: bulk-add
-		// the access count and run the probe loop over each tag array
-		// with no per-access feature branches.
-		for _, c := range g.caches {
-			c.accesses += g.runTotal
-			tags := c.tags
-			if len(tags) == 0 {
-				continue
-			}
-			// Direct mapped (fused), so the set mask is len(tags)-1;
-			// deriving it from the length drops the bounds check.
-			mask := uint64(len(tags) - 1)
-			for _, e := range lines {
-				// The stream entry e is already the packed tag (line<<1 |
-				// write), so a hit's dirty-merge and a miss's fill use e
-				// directly.
-				set := (e >> 1) & mask
-				t := tags[set]
-				if t^e < 2 {
-					tags[set] = t | e&dirtyBit
-					continue
-				}
-				c.misses++
-				if t != invalidTag && t&dirtyBit != 0 {
-					c.writebacks++
-				}
-				tags[set] = e
-			}
-		}
-		return
-	}
 	counts := g.runCounts
 	for _, c := range g.caches {
 		if g.rleOK {
@@ -1133,7 +1015,7 @@ func (g *Group) replay() {
 				c.accessLineRun(e>>1, e&1 != 0, uint64(counts[j]))
 			}
 		} else {
-			// Not collapsed (counts are all 1): the exact per-access
+			// Not collapsed (one entry per access): the exact per-access
 			// path, which handles flush intervals and no-write-allocate.
 			for _, e := range lines {
 				c.accessLine(e>>1, e&1 != 0)
@@ -1146,29 +1028,14 @@ func (g *Group) replay() {
 func (g *Group) Caches() []*Cache { return g.caches }
 
 // DistinctLines returns the number of distinct cache lines referenced.
-// With sharding active it drains in-flight work first.
-func (g *Group) DistinctLines() uint64 {
-	g.Drain()
-	n := g.seen.distinct()
-	for _, s := range g.shards {
-		n += s.seen.distinct()
-	}
-	return n
-}
+func (g *Group) DistinctLines() uint64 { return g.seen.distinct() }
 
-// Results summarizes every member cache. With sharding active it drains
-// in-flight work and folds the per-shard counters into the totals.
+// Results summarizes every member cache.
 func (g *Group) Results() []Result {
-	g.Drain()
 	out := make([]Result, len(g.caches))
 	cold := g.DistinctLines()
 	for i, c := range g.caches {
-		res := Result{Config: c.cfg, Accesses: c.accesses, Misses: c.misses, ColdLines: cold}
-		for _, s := range g.shards {
-			res.Accesses += s.stats[i].accesses
-			res.Misses += s.stats[i].misses
-		}
-		out[i] = res
+		out[i] = Result{Config: c.cfg, Accesses: c.accesses, Misses: c.misses, ColdLines: cold}
 	}
 	return out
 }

@@ -39,6 +39,8 @@ func TestBadGeometryPanics(t *testing.T) {
 		{Size: 64, LineSize: 48},             // line not power of two
 		{Size: 32, LineSize: 32, Assoc: 3},   // lines not divisible
 		{Size: 128, LineSize: 32, Assoc: -1}, // bad assoc
+		{Size: 64, LineSize: 2},              // sub-word line: packed tags alias invalidTag
+		{Size: 64, LineSize: 1},              // sub-word line
 	} {
 		func() {
 			defer func() {

@@ -87,11 +87,8 @@ func (d *pageDir[P]) materialize(idx uint64) *P {
 	return p
 }
 
-// empty reports whether no page was ever materialized.
-func (d *pageDir[P]) empty() bool { return len(d.spans) == 0 && len(d.sparse) == 0 }
-
 // each calls fn on every page in ascending index order. O(pages),
-// for result assembly and shard merges only.
+// for result assembly only.
 func (d *pageDir[P]) each(fn func(idx uint64, p *P)) {
 	for top, t := range d.spans {
 		for off, p := range t {

@@ -36,9 +36,6 @@ func TestPageDirSpanLayout(t *testing.T) {
 	}
 	span := uint64(1) << shift
 	d := pageDir[[2]uint64]{spanShift: shift}
-	if !d.empty() {
-		t.Fatal("new directory not empty")
-	}
 	idxs := []uint64{
 		0,
 		span - 1, span, // the edge between spans 0 and 1
@@ -63,9 +60,6 @@ func TestPageDirSpanLayout(t *testing.T) {
 		if d.find(idx) != got[idx] {
 			t.Fatalf("page %#x: find returned a different page", idx)
 		}
-	}
-	if d.empty() {
-		t.Fatal("directory with pages reports empty")
 	}
 	if len(d.spans) != dirDenseSpans {
 		t.Errorf("top level has %d spans, want %d (the last dense span)", len(d.spans), dirDenseSpans)
@@ -101,43 +95,34 @@ func TestSpanPageShiftClamps(t *testing.T) {
 	}
 }
 
-// TestLineSetMultiSpan: distinct, merge and empty over sets spread
-// across region spans and the sparse top level agree with a map
-// oracle.
+// TestLineSetMultiSpan: distinct over a set spread across region spans
+// and the sparse top level agrees with a map oracle, fed two
+// interleaved line streams that repeat one line per span.
 func TestLineSetMultiSpan(t *testing.T) {
 	lines := uint64(mem.RegionSpan) >> defaultLineShift
-	a, b := newLineSet(defaultLineShift), newLineSet(defaultLineShift)
-	if !a.empty() || a.distinct() != 0 {
+	s := newLineSet(defaultLineShift)
+	if s.distinct() != 0 {
 		t.Fatal("new set not empty")
 	}
 	oracle := map[uint64]bool{}
-	add := func(s *lineSet, line uint64) {
+	add := func(line uint64) {
 		s.add(line)
 		oracle[line] = true
 	}
 	for r := uint64(1); r <= 12; r++ {
 		base := r*lines + r*37
 		for i := uint64(0); i < 300; i += 3 {
-			add(a, base+i)
-			add(b, base+i+1)
+			add(base + i)
+			add(base + i + 1)
 		}
-		add(b, base) // overlaps a
+		add(base) // repeats a line of the first stream
 	}
-	add(a, lines-1)
-	add(b, lines)
-	add(b, dirDenseSpans*lines+5)
-	add(a, ^uint64(0))
-	if a.empty() || b.empty() {
-		t.Fatal("populated set reports empty")
-	}
-	a.merge(b)
-	if got := a.distinct(); got != uint64(len(oracle)) {
-		t.Fatalf("merged distinct = %d, oracle %d", got, len(oracle))
-	}
-	var empty lineSet
-	a.merge(&empty)
-	if got := a.distinct(); got != uint64(len(oracle)) {
-		t.Fatalf("merging an empty set changed distinct to %d", got)
+	add(lines - 1)
+	add(lines)
+	add(dirDenseSpans*lines + 5)
+	add(^uint64(0))
+	if got := s.distinct(); got != uint64(len(oracle)) {
+		t.Fatalf("distinct = %d, oracle %d", got, len(oracle))
 	}
 }
 

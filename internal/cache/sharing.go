@@ -22,10 +22,8 @@ import (
 //
 // Sharing implements trace.Sink, trace.BatchSink and trace.BlockSink.
 // Classification depends only on the reference values and their order,
-// so deferred columnar delivery is sound, and results are independent
-// of the cache Group's shard count: Sharing is a separate sink that
-// consumes the full stream on the delivering goroutine. Like the other
-// simulators it is not safe for concurrent use.
+// so deferred columnar delivery is sound. Like the other simulators it
+// is not safe for concurrent use.
 //
 // Thread identities come from trace.Ref.Tid / trace.Block.Tids. Holder
 // sets are 64-bit masks, so tids alias modulo 64; workloads stay well

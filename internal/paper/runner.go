@@ -67,12 +67,6 @@ type Runner struct {
 	// pair and aggregated by ShadowSnapshots.
 	CheckHeap bool
 
-	// CacheShards > 1 simulates each pair's cache group on that many
-	// set-partition workers (sim.Config.CacheShards). Sharding is
-	// exact — every table stays byte-identical — so it composes freely
-	// with Workers for intra-pair parallelism on large scales.
-	CacheShards int
-
 	// PageSampleShift > 0 switches the page-fault simulations to
 	// sampled stack distances at rate 2^-PageSampleShift
 	// (sim.Config.PageSampleShift). Sampled curves are estimates: the
@@ -168,7 +162,6 @@ func (r *Runner) runPair(ctx context.Context, progName, allocName string) (*sim.
 		Scale:           r.Scale,
 		Seed:            r.Seed,
 		Caches:          cfgs,
-		CacheShards:     r.CacheShards,
 		PageSampleShift: r.PageSampleShift,
 		CheckHeap:       r.CheckHeap,
 	}

@@ -335,6 +335,7 @@ func TestServiceBadRequests(t *testing.T) {
 		{"absurd-cache", `{"program":"make","allocator":"bsd","caches":[{"size":1099511627776}]}`},
 		{"bad-assoc", `{"program":"make","allocator":"bsd","caches":[{"size":16384,"assoc":-2}]}`},
 		{"bad-line", `{"program":"make","allocator":"bsd","caches":[{"size":16384,"line_size":33}]}`},
+		{"sub-word-line", `{"program":"make","allocator":"bsd","caches":[{"size":16384,"line_size":2}]}`},
 		{"trailing", `{"program":"make","allocator":"bsd"} extra`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"encoding/json"
-	"reflect"
 	"testing"
 
 	"mallocsim/internal/cache"
@@ -21,44 +19,6 @@ func pagingConfig(t *testing.T, prog string, scale uint64) Config {
 		Scale:     scale,
 		Caches:    []cache.Config{{Size: 16 << 10}, {Size: 64 << 10}},
 		PageSim:   true,
-	}
-}
-
-// TestShardedRunMatchesUnsharded: CacheShards routes the cache-line
-// stream through worker goroutines, but set partitions are disjoint
-// and the counters order-independent sums, so the whole result — and
-// the serialized run report — must be byte-identical to the
-// single-goroutine run.
-func TestShardedRunMatchesUnsharded(t *testing.T) {
-	cfg := pagingConfig(t, "gs", 64)
-	plain, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.CacheShards = 8
-	sharded, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain.Caches, sharded.Caches) {
-		t.Errorf("cache results diverged:\nplain:   %+v\nsharded: %+v", plain.Caches, sharded.Caches)
-	}
-	if plain.Refs != sharded.Refs {
-		t.Errorf("ref counters diverged: %+v vs %+v", plain.Refs, sharded.Refs)
-	}
-	if !reflect.DeepEqual(plain.Curve, sharded.Curve) {
-		t.Errorf("fault curves diverged")
-	}
-	pj, err := json.Marshal(plain.Report())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sj, err := json.Marshal(sharded.Report())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(pj) != string(sj) {
-		t.Errorf("run reports not byte-identical:\nplain:   %s\nsharded: %s", pj, sj)
 	}
 }
 

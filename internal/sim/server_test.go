@@ -91,32 +91,3 @@ func TestServerRunReport(t *testing.T) {
 		}
 	}
 }
-
-// TestServerShardedMatchesUnsharded: the sharing attributor is a
-// separate sink outside the cache group's shard partitioning, and the
-// server workload replays logical threads on one goroutine — so the
-// whole report, sharing rows included, must be byte-identical across
-// shard widths.
-func TestServerShardedMatchesUnsharded(t *testing.T) {
-	cfg := serverConfig(t, "locarena", 1024)
-	plain, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.CacheShards = 8
-	sharded, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pj, err := json.Marshal(plain.Report())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sj, err := json.Marshal(sharded.Report())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(pj) != string(sj) {
-		t.Errorf("server reports not byte-identical across shard widths:\nplain:   %s\nsharded: %s", pj, sj)
-	}
-}

@@ -58,15 +58,6 @@ type Config struct {
 	Seed uint64
 	// Caches lists the cache configurations to simulate in parallel.
 	Caches []cache.Config
-	// CacheShards, when > 1, simulates independent set partitions of
-	// the cache group on that many worker goroutines (rounded down to a
-	// power of two and clamped to the smallest configuration's set
-	// count; see cache.Group.StartShards). Results are exact — set
-	// partitions are disjoint and the counters are order-independent
-	// sums — but configurations with flush intervals fall back to
-	// single-goroutine simulation. 0 or 1 keeps everything on the run's
-	// goroutine.
-	CacheShards int
 	// PageSim enables LRU stack-distance page-fault simulation.
 	PageSim bool
 	// PageSampleShift, with PageSim, samples stack distances at rate
@@ -174,13 +165,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	var group *cache.Group
 	if len(cfg.Caches) > 0 {
 		group = cache.NewGroup(cfg.Caches...)
-		if cfg.CacheShards > 1 {
-			group.StartShards(cfg.CacheShards)
-			// Joins the shard workers on every exit path; Results()
-			// drains in-flight work before reading, and Stop is
-			// idempotent, so ordering against assembly is free.
-			defer group.Stop()
-		}
 		sinks = append(sinks, group)
 	}
 	var pages *vm.StackSim
@@ -195,12 +179,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 
 	m := mem.New(trace.NewTee(sinks...), meter)
 
-	// Concurrent runs attach the sharing attributor: a separate sink,
-	// so its classification is independent of the cache group's shard
-	// count. Events are attributed to the index of the containing
-	// region (region 0 for an address in none), resolved to the region
-	// name at report assembly (regions only ever grow, so indices are
-	// stable).
+	// Concurrent runs attach the sharing attributor, a sink of its own
+	// beside the cache group. Events are attributed to the index of the
+	// containing region (region 0 for an address in none), resolved to
+	// the region name at report assembly (regions only ever grow, so
+	// indices are stable).
 	var sharing *cache.Sharing
 	if cfg.Server != nil {
 		sharing = cache.NewSharing(cache.SharingConfig{RegionOf: m.RegionIndex})

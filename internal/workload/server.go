@@ -26,7 +26,7 @@ import (
 //
 // The model runs on one goroutine: "threads" are logical identities
 // replayed deterministically via internal/rng, so runs are
-// byte-identical at any simulator worker or shard count.
+// byte-identical at any simulator worker count.
 type ServerConfig struct {
 	// Name identifies the scenario ("server"); it doubles as the
 	// program name in reports and memoization keys, so it must not

@@ -66,15 +66,15 @@ if [ -d "$baseline" ]; then
   fi
 fi
 
-micro='BenchmarkCacheDirectMapped$|BenchmarkCacheGroupSweep$|BenchmarkCacheGroupBlockSweep$|BenchmarkSharingMultiRegion$|BenchmarkStackSimRef$|BenchmarkStackSimSweepExact$|BenchmarkStackSimSweepSampled$|BenchmarkStackSimPairReplay$'
+micro='BenchmarkCacheDirectMapped$|BenchmarkCacheGroupSweep$|BenchmarkCacheGroupBlockSweep$|BenchmarkCacheGroupPairReplay$|BenchmarkSharingMultiRegion$|BenchmarkStackSimRef$|BenchmarkStackSimSweepExact$|BenchmarkStackSimSweepSampled$|BenchmarkStackSimPairReplay$'
 matrix='BenchmarkRunAllParallel$|BenchmarkServerWorkload$'
 
 {
   # Micro-benchmarks: cache simulator hot paths (per-ref and columnar
-  # block delivery), the sharing attributor over a server pair's
+  # block delivery, and the cache group's replay of a recorded
+  # gs/firstfit stream), the sharing attributor over a server pair's
   # multi-region layout, and the LRU stack engine (per-ref, block
-  # exact and sampled, and the replay of a recorded gs/firstfit
-  # stream).
+  # exact and sampled, and the replay of the same recorded stream).
   # Several iterations each so benchstat has samples.
   go test -run '^$' -bench "$micro" -benchtime "$benchtime" .
   # Full experiment matrix through the parallel runner, plus the
