@@ -371,6 +371,71 @@ func nsPerRef(b *testing.B, refs int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(refs)), "ns/ref")
 }
 
+// rowCounter is a block sink that only counts the rows it is flushed:
+// the cheapest consumer mem.Memory can feed, so a run into it times
+// the workload driver, the allocator and mem's emit path alone.
+type rowCounter struct{ rows int }
+
+func (c *rowCounter) Ref(trace.Ref)        { c.rows++ }
+func (c *rowCounter) Block(b *trace.Block) { c.rows += b.Len() }
+
+// BenchmarkWorkloadSynthesis runs one program pair (gs/firstfit) and
+// one server pair (server/bsd) at the golden scale, seed 1, per op,
+// each on a fresh Memory and allocator, batched into a rowCounter: the
+// workload stage of the layer ladder, with the allocator and mem emit
+// it cannot run without. ns/ref divides by the references the run
+// emits, counted once outside the timer.
+func BenchmarkWorkloadSynthesis(b *testing.B) {
+	prog, ok := workload.ByName("gs")
+	if !ok {
+		b.Fatal("unknown program gs")
+	}
+	scen, ok := workload.ServerByName("server")
+	if !ok {
+		b.Fatal("unknown server scenario")
+	}
+	ctx := context.Background()
+	cases := []struct {
+		name, allocator string
+		drive           func(m *mem.Memory, a alloc.Allocator) error
+	}{
+		{"program", "firstfit", func(m *mem.Memory, a alloc.Allocator) error {
+			_, err := workload.RunContext(ctx, m, a, workload.Config{Program: prog, Scale: paper.GoldenScale, Seed: 1})
+			return err
+		}},
+		{"server", "bsd", func(m *mem.Memory, a alloc.Allocator) error {
+			_, err := workload.RunServerContext(ctx, m, a, workload.ServerRunConfig{Scenario: scen, Scale: paper.GoldenScale, Seed: 1})
+			return err
+		}},
+	}
+	for _, c := range cases {
+		run := func(sink trace.Sink) {
+			m := mem.New(sink, &cost.Meter{})
+			m.SetBatching(0)
+			a, err := alloc.New(c.allocator, m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := c.drive(m, a); err != nil {
+				b.Fatal(err)
+			}
+			m.Flush()
+		}
+		b.Run(c.name, func(b *testing.B) {
+			var counter trace.Counter
+			run(&counter)
+			b.ResetTimer()
+			var rows rowCounter
+			for i := 0; i < b.N; i++ {
+				rows = rowCounter{}
+				run(&rows)
+			}
+			nsPerRef(b, int(counter.Total()))
+			b.ReportMetric(float64(counter.Total())/float64(rows.rows), "refs/row")
+		})
+	}
+}
+
 // BenchmarkStackSimPairReplay replays one paging pair's recorded
 // reference stream — gs/firstfit at the golden scale, seed 1, as
 // mem.Memory flushes it to the sinks of a paper.Runner pair — into a

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"mallocsim/internal/alloc"
@@ -103,6 +104,32 @@ func TestBudgetsOnTarget(t *testing.T) {
 		if got := float64(counter.Total()); got < wantRefs*0.75 || got > wantRefs*1.35 {
 			t.Errorf("%s: refs %.0f, want within ~30%% of %.0f", name, got, wantRefs)
 		}
+	}
+
+	// The server scenario spends the same calibrated budgets per request;
+	// every request allocates one object on top of the primed sessions.
+	scen, _ := ServerByName("server")
+	meter := &cost.Meter{}
+	var counter trace.Counter
+	m := mem.New(&counter, meter)
+	a, err := alloc.New("bsd", m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := RunServerContext(context.Background(), m, a, ServerRunConfig{Scenario: scen, Scale: scale, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := scen.Requests/scale + uint64(scen.Sessions); stats.Allocs < want {
+		t.Errorf("server: allocs %d, want at least %d", stats.Allocs, want)
+	}
+	wantInstr := float64(scen.Instr) / scale
+	if got := float64(meter.Total()); got < wantInstr*0.8 || got > wantInstr*1.3 {
+		t.Errorf("server: instr %.0f, want within 25%% of %.0f", got, wantInstr)
+	}
+	wantRefs := float64(scen.DataRefs) / scale
+	if got := float64(counter.Total()); got < wantRefs*0.75 || got > wantRefs*1.35 {
+		t.Errorf("server: refs %.0f, want within ~30%% of %.0f", got, wantRefs)
 	}
 }
 

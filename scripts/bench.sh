@@ -66,13 +66,14 @@ if [ -d "$baseline" ]; then
   fi
 fi
 
-micro='BenchmarkCacheDirectMapped$|BenchmarkCacheGroupSweep$|BenchmarkCacheGroupBlockSweep$|BenchmarkCacheGroupPairReplay$|BenchmarkSharingMultiRegion$|BenchmarkStackSimRef$|BenchmarkStackSimSweepExact$|BenchmarkStackSimSweepSampled$|BenchmarkStackSimPairReplay$'
+micro='BenchmarkWorkloadSynthesis$|BenchmarkCacheDirectMapped$|BenchmarkCacheGroupSweep$|BenchmarkCacheGroupBlockSweep$|BenchmarkCacheGroupPairReplay$|BenchmarkSharingMultiRegion$|BenchmarkStackSimRef$|BenchmarkStackSimSweepExact$|BenchmarkStackSimSweepSampled$|BenchmarkStackSimPairReplay$'
 matrix='BenchmarkRunAllParallel$|BenchmarkServerWorkload$'
 
 {
-  # Micro-benchmarks: cache simulator hot paths (per-ref and columnar
-  # block delivery, and the cache group's replay of a recorded
-  # gs/firstfit stream), the sharing attributor over a server pair's
+  # Micro-benchmarks: the workload stage (program and server drivers
+  # with their allocators and mem emit, into a row-counting sink),
+  # cache simulator hot paths (per-ref and columnar block delivery,
+  # and the cache group's replay of a recorded gs/firstfit stream), the sharing attributor over a server pair's
   # multi-region layout, and the LRU stack engine (per-ref, block
   # exact and sampled, and the replay of the same recorded stream).
   # Several iterations each so benchstat has samples.
