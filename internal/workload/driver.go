@@ -5,10 +5,8 @@ import (
 	"fmt"
 
 	"mallocsim/internal/alloc"
-	"mallocsim/internal/cost"
 	"mallocsim/internal/mem"
 	"mallocsim/internal/rng"
-	"mallocsim/internal/trace"
 )
 
 // Config parameterizes one driver run.
@@ -29,13 +27,6 @@ type Config struct {
 	// requested from the OS. The series shows how each allocator's
 	// space overhead evolves (the paper's §4.1 space-efficiency axis).
 	SampleEvery uint64
-	// DisableLocalityHints suppresses the birth-phase locality hints the
-	// driver passes to hint-aware allocators (alloc.LocalityHinter),
-	// forcing the plain Malloc/MallocSite path. Runs against allocators
-	// that do not exploit hints are byte-identical either way — the hint
-	// is computed without consuming randomness or charging instructions —
-	// so the knob exists to measure what hinting itself buys.
-	DisableLocalityHints bool
 }
 
 // Sample is one point of the fragmentation time series.
@@ -56,136 +47,6 @@ func (s Sample) Overhead() float64 {
 	return float64(s.HeapBytes) / float64(s.LiveBytes)
 }
 
-// Stats summarizes a completed run (the raw material of Table 2).
-type Stats struct {
-	Program   string
-	Allocs    uint64
-	Frees     uint64
-	FinalLive uint64
-	// LiveBytes is the payload bytes still allocated at exit.
-	LiveBytes uint64
-	// ReqBytes is the total payload bytes requested over the run.
-	ReqBytes uint64
-	// Handoffs counts producer/consumer cross-thread frees: objects
-	// allocated by one logical thread and freed by another. Always zero
-	// for the (single-threaded) program driver; the server driver fills
-	// it in.
-	Handoffs uint64
-	// Samples is the fragmentation time series (Config.SampleEvery).
-	Samples []Sample
-}
-
-// recencyWindow is the temporal-locality model: the application mostly
-// re-references recently used objects, Zipf-weighted by recency rank.
-const (
-	windowSize  = 32
-	zipfExp     = 1.1
-	windowProb  = 0.85 // else uniform over all live objects
-	writeProb   = 0.3
-	maxRunWords = 8
-)
-
-type object struct {
-	addr uint64
-	size uint32
-	idx  int // position in the live slice
-	dead bool
-}
-
-// deathEvent schedules an object's free.
-type deathEvent struct {
-	step uint64
-	obj  *object
-}
-
-// deathQueue is a binary min-heap on step.
-type deathQueue []deathEvent
-
-func (q *deathQueue) push(e deathEvent) {
-	*q = append(*q, e)
-	i := len(*q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if (*q)[parent].step <= (*q)[i].step {
-			break
-		}
-		(*q)[parent], (*q)[i] = (*q)[i], (*q)[parent]
-		i = parent
-	}
-}
-
-func (q *deathQueue) pop() deathEvent {
-	h := *q
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	*q = h[:last]
-	i, n := 0, last
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h[l].step < h[smallest].step {
-			smallest = l
-		}
-		if r < n && h[r].step < h[smallest].step {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
-	}
-	return top
-}
-
-// driver holds one run's state.
-type driver struct {
-	m      *mem.Memory
-	a      alloc.Allocator
-	hinter alloc.LocalityHinter // non-nil only when hints are on and exploited
-	meter  *cost.Meter
-	prog   Program
-
-	sizeRng *rng.Rand
-	lifeRng *rng.Rand
-	refRng  *rng.Rand
-
-	churnDist    *rng.Discrete
-	churnSizes   []uint32
-	immortalDist *rng.Discrete
-	immortalSzs  []uint32
-	windowZipf   *rng.Zipf
-	globalZipf   *rng.Zipf
-
-	live   []*object
-	deaths deathQueue
-	window [windowSize]*object
-	wpos   int
-
-	stackBase  uint64
-	sp         uint64
-	globalBase uint64
-	globalHot  []uint64
-
-	refsAcc  float64 // reference budget accumulator
-	refsStep uint64  // references emitted this step
-
-	liveBytes uint64
-	nonHeap   []*mem.Region // stack + globals, excluded from heap samples
-
-	stats Stats
-}
-
-// cancelCheckEvery is the cancellation-poll cadence of the driver's
-// step loop: every that many allocation steps RunContext checks whether
-// its context is done. One step is a bounded amount of work (one
-// malloc, the scheduled frees, and the step's reference budget), so the
-// poll granularity keeps cancellation latency in the low milliseconds
-// while the check itself — one interface call on a non-cancellable
-// context — stays invisible in profiles.
-const cancelCheckEvery = 1024
-
 // Run drives the program model against allocator a on memory m,
 // creating stack and global regions on m for the application's
 // non-heap references. The allocator must already be constructed on
@@ -196,59 +57,26 @@ func Run(m *mem.Memory, a alloc.Allocator, cfg Config) (Stats, error) {
 }
 
 // RunContext is Run with cooperative cancellation: the step loop polls
-// ctx every cancelCheckEvery allocation steps and returns early with
-// context.Cause(ctx) wrapped in the error when the context is done.
-// Cancellation does not perturb determinism — a run that completes
-// produces byte-identical results whether or not ctx is cancellable.
+// ctx every cancelCheckEvery allocation steps, and the death drain every
+// cancelCheckEvery frees, and returns early with context.Cause(ctx)
+// wrapped in the error when the context is done. Cancellation does not
+// perturb determinism — a run that completes produces byte-identical
+// results whether or not ctx is cancellable.
 func RunContext(ctx context.Context, m *mem.Memory, a alloc.Allocator, cfg Config) (Stats, error) {
 	if cfg.Scale == 0 {
 		cfg.Scale = 1
 	}
 	p := cfg.Program
-	d := &driver{m: m, a: a, meter: m.Meter(), prog: p}
-	if d.meter == nil {
-		d.meter = &cost.Meter{}
-	}
-	// Locality hints flow only to allocators that natively exploit them.
-	// alloc.HintAware sees through instrumentation wrappers (which
-	// implement MallocLocal unconditionally as a transparent fallback):
-	// without the probe, a wrapped site-aware allocator would be routed
-	// down the hint path and lose its site information.
-	if !cfg.DisableLocalityHints && alloc.HintAware(a) {
-		d.hinter, _ = a.(alloc.LocalityHinter)
-	}
-
-	root := rng.New(cfg.Seed ^ hashName(p.Name))
-	d.sizeRng = root.Split()
-	d.lifeRng = root.Split()
-	d.refRng = root.Split()
-
-	d.churnDist, d.churnSizes = buildDist(p.ChurnSizes)
-	d.immortalDist, d.immortalSzs = buildDist(p.ImmortalSizes)
-	d.windowZipf = rng.NewZipf(windowSize, zipfExp)
-	d.globalZipf = rng.NewZipf(64, 1.0)
-
-	// Stack segment: a small, intensely hot region.
-	stack := m.NewRegion(p.Name+"-stack", 64*1024)
-	sb, err := stack.Sbrk(8 * 1024)
+	ap, _ := newApp(m, a, p.Name, cfg.Seed, p.StackFrac, p.GlobalFrac)
+	churn := newSizeDist(p.ChurnSizes, churnSiteBase)
+	immortals := newSizeDist(p.ImmortalSizes, immortalSiteBase)
+	th, err := ap.newThread(p.Name+"-stack", 0)
 	if err != nil {
 		return Stats{}, err
 	}
-	d.stackBase = sb
-	d.sp = 1024
-	d.nonHeap = append(d.nonHeap, stack)
-
 	// Global segment with a Zipf-hot set of word addresses.
-	globals := m.NewRegion(p.Name+"-globals", 0)
-	gb, err := globals.Sbrk(p.GlobalBytes)
-	if err != nil {
+	if err := ap.newGlobals(p.GlobalBytes); err != nil {
 		return Stats{}, err
-	}
-	d.globalBase = gb
-	d.nonHeap = append(d.nonHeap, globals)
-	d.globalHot = make([]uint64, 64)
-	for i := range d.globalHot {
-		d.globalHot[i] = gb + mem.AlignUp(d.refRng.Uint64n(p.GlobalBytes-4), mem.WordSize)
 	}
 
 	nAllocs := p.Allocs / cfg.Scale
@@ -276,29 +104,17 @@ func RunContext(ctx context.Context, m *mem.Memory, a alloc.Allocator, cfg Confi
 	refsPerStep := p.RefsPerAlloc()
 	instrPerStep := p.InstrPerAlloc()
 
-	d.stats.Program = p.Name
-	var frees uint64 // amortized cancellation poll across death drains
+	var deaths deathQueue
 	for step := uint64(0); step < nAllocs; step++ {
 		if step%cancelCheckEvery == 0 && ctx.Err() != nil {
-			return d.stats, fmt.Errorf("workload %s: aborted at step %d/%d: %w",
+			return ap.stats, fmt.Errorf("workload %s: aborted at step %d/%d: %w",
 				p.Name, step, nAllocs, context.Cause(ctx))
 		}
 		// Deaths scheduled at or before this step happen first, so the
 		// allocator sees the recycling opportunity the paper's
-		// segregated-storage designs exploit. The drain after a free
-		// burst is unbounded in step terms, so it polls on its own
-		// counter (ctx.Err() is nil until cancellation, so the poll
-		// leaves uncancelled runs byte-identical).
-		for len(d.deaths) > 0 && d.deaths[0].step <= step {
-			frees++
-			if frees%cancelCheckEvery == 0 && ctx.Err() != nil {
-				return d.stats, fmt.Errorf("workload %s: aborted at step %d/%d: %w",
-					p.Name, step, nAllocs, context.Cause(ctx))
-			}
-			ev := d.deaths.pop()
-			if err := d.freeObject(ev.obj); err != nil {
-				return d.stats, fmt.Errorf("workload %s step %d: %w", p.Name, step, err)
-			}
+		// segregated-storage designs exploit.
+		if err := ap.freeDue(ctx, &deaths, step); err != nil {
+			return ap.stats, fmt.Errorf("workload %s step %d: %w", p.Name, step, err)
 		}
 
 		immortal := false
@@ -311,82 +127,49 @@ func RunContext(ctx context.Context, m *mem.Memory, a alloc.Allocator, cfg Confi
 			immPending = immortalBurst - 1
 			immortal = true
 		}
-		var size uint32
-		var site uint32
+		sizes := churn
 		if immortal || p.Frees == 0 {
-			idx := d.immortalDist.Sample(d.sizeRng)
-			size = d.immortalSzs[idx]
-			site = immortalSiteBase + uint32(idx)
+			sizes = immortals
 			immortal = true
-		} else {
-			idx := d.churnDist.Sample(d.sizeRng)
-			size = d.churnSizes[idx]
-			site = churnSiteBase + uint32(idx)
 		}
 
-		obj, err := d.mallocObject(size, site, uint32(step>>localityPhaseShift))
+		obj, err := ap.malloc(sizes, uint32(step>>localityPhaseShift))
 		if err != nil {
-			return d.stats, fmt.Errorf("workload %s step %d: %w", p.Name, step, err)
+			return ap.stats, fmt.Errorf("workload %s step %d: %w", p.Name, step, err)
 		}
+		th.promote(obj)
 		if !immortal {
-			death := step + 1 + d.sampleLife()
+			death := step + 1 + sampleLife(p, ap.lifeRng)
 			// Phase behaviour: deaths land on batch boundaries, so the
 			// program releases objects in bursts.
 			if b := p.FreeBatch; b > 1 {
 				death = (death + b - 1) / b * b
 			}
-			d.deaths.push(deathEvent{step: death, obj: obj})
+			deaths.push(deathEvent{step: death, obj: obj})
 		}
 
-		// The application initializes its new object...
-		d.refsStep = 0
-		d.initObject(obj)
-		// ...then computes, referencing stack, globals and the heap.
-		d.refsAcc += refsPerStep - float64(d.refsStep)
-		d.emitRefs()
-		// Pure-compute instructions fill out the instruction budget
-		// (each reference already charged one instruction).
-		if extra := instrPerStep - float64(d.refsStep); extra > 1 {
-			d.meter.ChargeTo(cost.App, uint64(extra))
-		}
+		// The application initializes its new object, then computes,
+		// referencing stack, globals and the heap.
+		ap.refsStep = 0
+		ap.initObject(obj)
+		ap.spend(&th, refsPerStep, instrPerStep)
 
 		if cfg.SampleEvery > 0 && step%cfg.SampleEvery == 0 {
-			d.stats.Samples = append(d.stats.Samples, d.sample(step))
+			heap := m.Footprint()
+			for _, r := range ap.nonHeap {
+				heap -= r.Size()
+			}
+			ap.stats.Samples = append(ap.stats.Samples, Sample{Step: step, LiveBytes: ap.liveBytes, HeapBytes: heap})
 		}
 	}
-
-	d.stats.FinalLive = uint64(len(d.live))
-	for _, o := range d.live {
-		d.stats.LiveBytes += uint64(o.size)
-	}
-	return d.stats, nil
+	return ap.finish(), nil
 }
 
-func hashName(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
+func sampleLife(p Program, r *rng.Rand) uint64 {
+	if p.MediumFrac > 0 && r.Bool(p.MediumFrac) {
+		return r.Geometric(p.MediumLife)
 	}
-	return h
-}
-
-func buildDist(sw []SizeWeight) (*rng.Discrete, []uint32) {
-	weights := make([]float64, len(sw))
-	sizes := make([]uint32, len(sw))
-	for i, e := range sw {
-		weights[i] = e.Weight
-		sizes[i] = e.Size
-	}
-	return rng.NewDiscrete(weights), sizes
-}
-
-func (d *driver) sampleLife() uint64 {
-	p := d.prog
-	if p.MediumFrac > 0 && d.lifeRng.Bool(p.MediumFrac) {
-		return d.lifeRng.Geometric(p.MediumLife)
-	}
-	return d.lifeRng.Geometric(p.ShortLife)
+	return r.Geometric(p.ShortLife)
 }
 
 // Synthetic call-site identifiers: each size-distribution entry plays
@@ -406,170 +189,3 @@ const (
 // no randomness or instructions, so non-hinted runs stay
 // byte-identical.
 const localityPhaseShift = 6
-
-func (d *driver) mallocObject(size uint32, site uint32, hint uint32) (*object, error) {
-	prev := d.meter.Enter(cost.Malloc)
-	d.meter.Charge(alloc.CallOverhead)
-	var addr uint64
-	var err error
-	if d.hinter != nil {
-		addr, err = d.hinter.MallocLocal(size, hint)
-	} else if sa, ok := d.a.(alloc.SiteAllocator); ok {
-		addr, err = sa.MallocSite(size, site)
-	} else {
-		addr, err = d.a.Malloc(size)
-	}
-	d.meter.Enter(prev)
-	if err != nil {
-		return nil, err
-	}
-	d.stats.Allocs++
-	d.stats.ReqBytes += uint64(size)
-	d.liveBytes += uint64(size)
-	o := &object{addr: addr, size: size, idx: len(d.live)}
-	d.live = append(d.live, o)
-	d.window[d.wpos] = o
-	d.wpos = (d.wpos + 1) % windowSize
-	return o, nil
-}
-
-func (d *driver) freeObject(o *object) error {
-	prev := d.meter.Enter(cost.Free)
-	d.meter.Charge(alloc.CallOverhead)
-	err := d.a.Free(o.addr)
-	d.meter.Enter(prev)
-	if err != nil {
-		return err
-	}
-	d.stats.Frees++
-	d.liveBytes -= uint64(o.size)
-	o.dead = true
-	last := len(d.live) - 1
-	d.live[o.idx] = d.live[last]
-	d.live[o.idx].idx = o.idx
-	d.live = d.live[:last]
-	return nil
-}
-
-// sample captures one fragmentation time-series point.
-func (d *driver) sample(step uint64) Sample {
-	heap := d.m.Footprint()
-	for _, r := range d.nonHeap {
-		heap -= r.Size()
-	}
-	return Sample{Step: step, LiveBytes: d.liveBytes, HeapBytes: heap}
-}
-
-// initObject writes every word of the fresh object, as real programs
-// initialize their allocations. Large objects (GhostScript buffers) can
-// exceed one step's reference budget; the accumulator carries the debt
-// forward so total references stay on target.
-func (d *driver) initObject(o *object) {
-	words := uint64(o.size) / mem.WordSize
-	if words == 0 {
-		d.m.Touch(o.addr, o.size, trace.Write)
-		d.refsStep++
-		return
-	}
-	d.m.TouchRun(o.addr, words, trace.Write)
-	d.refsStep += words
-}
-
-// emitRefs spends the accumulated reference budget on a locality-shaped
-// mix of stack, global and heap references.
-func (d *driver) emitRefs() {
-	p := d.prog
-	for d.refsAcc >= 1 {
-		r := d.refRng.Float64()
-		switch {
-		case r < p.StackFrac:
-			d.stackRef()
-			d.refsAcc--
-			d.refsStep++
-		case r < p.StackFrac+p.GlobalFrac:
-			d.globalRef()
-			d.refsAcc--
-			d.refsStep++
-		default:
-			n := d.heapRun()
-			d.refsAcc -= float64(n)
-			d.refsStep += n
-		}
-	}
-}
-
-// stackRef models a procedure-call stack: the pointer random-walks in a
-// narrow band and references land near it.
-func (d *driver) stackRef() {
-	delta := int64(d.refRng.Uint64n(129)) - 64
-	sp := int64(d.sp) + delta
-	if sp < 64 {
-		sp = 64
-	}
-	if sp > 1984 {
-		sp = 1984
-	}
-	d.sp = uint64(sp)
-	off := d.sp - d.refRng.Uint64n(16)*mem.WordSize
-	kind := trace.Read
-	if d.refRng.Bool(0.45) {
-		kind = trace.Write
-	}
-	d.m.Touch(d.stackBase+mem.AlignUp(off, mem.WordSize), mem.WordSize, kind)
-}
-
-func (d *driver) globalRef() {
-	addr := d.globalHot[d.globalZipf.Sample(d.refRng)]
-	kind := trace.Read
-	if d.refRng.Bool(0.2) {
-		kind = trace.Write
-	}
-	d.m.Touch(addr, mem.WordSize, kind)
-}
-
-// heapRun references a short sequential run of words inside one live
-// object, chosen mostly from the recency window (temporal locality)
-// and otherwise uniformly from the live set.
-func (d *driver) heapRun() uint64 {
-	o := d.pickObject()
-	if o == nil {
-		// Nothing live: burn one reference on the stack instead.
-		d.stackRef()
-		return 1
-	}
-	words := uint64(o.size) / mem.WordSize
-	if words == 0 {
-		d.m.Touch(o.addr, o.size, trace.Read)
-		return 1
-	}
-	start := d.refRng.Uint64n(words)
-	run := 1 + d.refRng.Uint64n(maxRunWords)
-	if run > words-start {
-		run = words - start
-	}
-	kind := trace.Read
-	if d.refRng.Bool(writeProb) {
-		kind = trace.Write
-	}
-	d.m.TouchRun(o.addr+start*mem.WordSize, run, kind)
-	// Promote the object in the recency window.
-	d.window[d.wpos] = o
-	d.wpos = (d.wpos + 1) % windowSize
-	return run
-}
-
-func (d *driver) pickObject() *object {
-	if len(d.live) == 0 {
-		return nil
-	}
-	if d.refRng.Bool(windowProb) {
-		// Most recent = rank 0: the window is a ring, so walk back from
-		// the last insertion point.
-		rank := d.windowZipf.Sample(d.refRng)
-		pos := (d.wpos - 1 - rank + 2*windowSize) % windowSize
-		if o := d.window[pos]; o != nil && !o.dead {
-			return o
-		}
-	}
-	return d.live[d.refRng.Intn(len(d.live))]
-}

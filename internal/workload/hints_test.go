@@ -10,9 +10,14 @@ import (
 	"mallocsim/internal/trace"
 )
 
-// runHinted executes one run with explicit control over the
-// locality-hint knob and optional obs instrumentation.
-func runHinted(t *testing.T, allocName string, disable, instrument bool) (Stats, cost.Snapshot, trace.Counter, uint64) {
+// unhinted hides every capability of the wrapped allocator but the
+// plain Allocator interface — MallocLocal and Unwrap included — so the
+// driver reaches it only through Malloc/Free.
+type unhinted struct{ alloc.Allocator }
+
+// runHinted executes one run, optionally with the allocator's hints
+// hidden (see unhinted) or under obs instrumentation.
+func runHinted(t *testing.T, allocName string, hide, instrument bool) (Stats, cost.Snapshot, trace.Counter, uint64) {
 	t.Helper()
 	meter := &cost.Meter{}
 	var counter trace.Counter
@@ -21,6 +26,9 @@ func runHinted(t *testing.T, allocName string, disable, instrument bool) (Stats,
 	if err != nil {
 		t.Fatal(err)
 	}
+	if hide {
+		a = unhinted{a}
+	}
 	if instrument {
 		a = obs.Instrument(a, meter, &obs.Recorder{})
 	}
@@ -28,41 +36,17 @@ func runHinted(t *testing.T, allocName string, disable, instrument bool) (Stats,
 	if !ok {
 		t.Fatal("no espresso program")
 	}
-	stats, err := Run(m, a, Config{Program: prog, Scale: 512, Seed: 3, DisableLocalityHints: disable})
+	stats, err := Run(m, a, Config{Program: prog, Scale: 512, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return stats, meter.Snapshot(), counter, m.Footprint()
 }
 
-// For allocators that do not implement alloc.LocalityHinter, the hint
-// knob must be invisible: hints-on and hints-off runs are
-// byte-identical in every observable (the hint derivation consumes no
-// randomness and charges nothing).
-func TestHintsNoopForNonHintingAllocators(t *testing.T) {
-	for _, name := range []string{"quickfit", "lifetime", "bitfit", "vamfit"} {
-		t.Run(name, func(t *testing.T) {
-			s1, i1, c1, f1 := runHinted(t, name, false, false)
-			s2, i2, c2, f2 := runHinted(t, name, true, false)
-			if statKey(s1) != statKey(s2) {
-				t.Errorf("stats diverged: %+v vs %+v", s1, s2)
-			}
-			if i1 != i2 {
-				t.Errorf("instruction snapshot diverged: %+v vs %+v", i1, i2)
-			}
-			if c1 != c2 {
-				t.Errorf("reference counter diverged: %+v vs %+v", c1, c2)
-			}
-			if f1 != f2 {
-				t.Errorf("footprint diverged: %d vs %d", f1, f2)
-			}
-		})
-	}
-}
-
 // For a hint-aware allocator the hints must actually steer placement:
-// disabling them changes the reference stream (same op counts, a
-// different heap layout).
+// hiding them — locarena's plain Malloc is MallocLocal with locality 0
+// — changes the reference stream (same op counts, a different heap
+// layout).
 func TestHintsSteerLocarena(t *testing.T) {
 	s1, _, c1, f1 := runHinted(t, "locarena", false, false)
 	s2, _, c2, f2 := runHinted(t, "locarena", true, false)

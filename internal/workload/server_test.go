@@ -24,7 +24,7 @@ func runServer(t *testing.T, allocName string, scale, seed uint64) (Stats, *trac
 	if !ok {
 		t.Fatal("no server scenario in the catalog")
 	}
-	stats, err := RunServer(m, a, ServerRunConfig{Scenario: scen, Scale: scale, Seed: seed})
+	stats, err := RunServerContext(context.Background(), m, a, ServerRunConfig{Scenario: scen, Scale: scale, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestServerSharingSignal(t *testing.T) {
 			t.Fatal(err)
 		}
 		scen, _ := ServerByName("server")
-		stats, err := RunServer(m, a, ServerRunConfig{Scenario: scen, Scale: 1024, Seed: 5})
+		stats, err := RunServerContext(context.Background(), m, a, ServerRunConfig{Scenario: scen, Scale: 1024, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestServerThreadBounds(t *testing.T) {
 	for _, threads := range []int{0, 1, 64, 200} {
 		scen, _ := ServerByName("server")
 		scen.Threads = threads
-		if _, err := RunServer(m, a, ServerRunConfig{Scenario: scen, Scale: 1024, Seed: 1}); err == nil {
+		if _, err := RunServerContext(context.Background(), m, a, ServerRunConfig{Scenario: scen, Scale: 1024, Seed: 1}); err == nil {
 			t.Errorf("Threads=%d accepted, want error", threads)
 		}
 	}
