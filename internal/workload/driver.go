@@ -6,7 +6,6 @@ import (
 
 	"mallocsim/internal/alloc"
 	"mallocsim/internal/mem"
-	"mallocsim/internal/rng"
 )
 
 // Config parameterizes one driver run.
@@ -139,7 +138,11 @@ func RunContext(ctx context.Context, m *mem.Memory, a alloc.Allocator, cfg Confi
 		}
 		th.promote(obj)
 		if !immortal {
-			death := step + 1 + sampleLife(p, ap.lifeRng)
+			life := p.ShortLife
+			if p.MediumFrac > 0 && ap.lifeRng.Bool(p.MediumFrac) {
+				life = p.MediumLife
+			}
+			death := step + 1 + ap.lifeRng.Geometric(life)
 			// Phase behaviour: deaths land on batch boundaries, so the
 			// program releases objects in bursts.
 			if b := p.FreeBatch; b > 1 {
@@ -163,13 +166,6 @@ func RunContext(ctx context.Context, m *mem.Memory, a alloc.Allocator, cfg Confi
 		}
 	}
 	return ap.finish(), nil
-}
-
-func sampleLife(p Program, r *rng.Rand) uint64 {
-	if p.MediumFrac > 0 && r.Bool(p.MediumFrac) {
-		return r.Geometric(p.MediumLife)
-	}
-	return r.Geometric(p.ShortLife)
 }
 
 // Synthetic call-site identifiers: each size-distribution entry plays
