@@ -47,10 +47,10 @@ type Config struct {
 	Allocator string
 	// Server, when non-nil, runs the concurrent server scenario instead
 	// of Program (which is then ignored): the workload drives N logical
-	// threads with per-thread reference streams (see workload.RunServer)
-	// and the run attaches a cache.Sharing sink that attributes
-	// cross-thread line transfers as true vs. false sharing
-	// (Result.Sharing).
+	// threads with per-thread reference streams (see
+	// workload.RunServerContext) and the run attaches a cache.Sharing
+	// sink that attributes cross-thread line transfers as true vs. false
+	// sharing (Result.Sharing).
 	Server *workload.ServerConfig
 	// Scale divides the program's event counts (see workload.Config).
 	Scale uint64

@@ -15,7 +15,9 @@
 // The driver (Run) replays a program model against a real allocator on
 // simulated memory: the allocator's placement decisions determine where
 // the application's heap references land, which is exactly the coupling
-// the paper measures.
+// the paper measures. RunServerContext does the same for a server
+// scenario; the two drivers differ only in schedule and share one
+// application model (app).
 package workload
 
 // SizeWeight is one entry of a discrete object-size distribution.
