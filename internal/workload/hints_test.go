@@ -17,7 +17,7 @@ type unhinted struct{ alloc.Allocator }
 
 // runHinted executes one run, optionally with the allocator's hints
 // hidden (see unhinted) or under obs instrumentation.
-func runHinted(t *testing.T, allocName string, hide, instrument bool) (Stats, cost.Snapshot, trace.Counter, uint64) {
+func runHinted(t *testing.T, allocName string, hide, instrument bool) (Stats, trace.Counter, uint64) {
 	t.Helper()
 	meter := &cost.Meter{}
 	var counter trace.Counter
@@ -40,7 +40,7 @@ func runHinted(t *testing.T, allocName string, hide, instrument bool) (Stats, co
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stats, meter.Snapshot(), counter, m.Footprint()
+	return stats, counter, m.Footprint()
 }
 
 // For a hint-aware allocator the hints must actually steer placement:
@@ -48,8 +48,8 @@ func runHinted(t *testing.T, allocName string, hide, instrument bool) (Stats, co
 // — changes the reference stream (same op counts, a different heap
 // layout).
 func TestHintsSteerLocarena(t *testing.T) {
-	s1, _, c1, f1 := runHinted(t, "locarena", false, false)
-	s2, _, c2, f2 := runHinted(t, "locarena", true, false)
+	s1, c1, f1 := runHinted(t, "locarena", false, false)
+	s2, c2, f2 := runHinted(t, "locarena", true, false)
 	if s1.Allocs != s2.Allocs || s1.Frees != s2.Frees {
 		t.Fatalf("op counts should not depend on hints: %+v vs %+v", s1, s2)
 	}
@@ -66,8 +66,8 @@ func TestHintsSteerLocarena(t *testing.T) {
 // (alloc.HintAware sees through Unwrap, and the wrapper forwards
 // MallocLocal).
 func TestHintsFlowThroughInstrumentation(t *testing.T) {
-	s1, _, _, f1 := runHinted(t, "locarena", false, false)
-	s2, _, _, f2 := runHinted(t, "locarena", false, true)
+	s1, _, f1 := runHinted(t, "locarena", false, false)
+	s2, _, f2 := runHinted(t, "locarena", false, true)
 	if statKey(s1) != statKey(s2) {
 		t.Errorf("stats diverged under instrumentation: %+v vs %+v", s1, s2)
 	}
@@ -77,8 +77,8 @@ func TestHintsFlowThroughInstrumentation(t *testing.T) {
 	// And a wrapped site-aware allocator keeps its site path: the
 	// wrapper implements MallocLocal unconditionally, so a naive
 	// hint-first dispatch would silently drop lifetime's site data.
-	s3, _, _, f3 := runHinted(t, "lifetime", false, false)
-	s4, _, _, f4 := runHinted(t, "lifetime", false, true)
+	s3, _, f3 := runHinted(t, "lifetime", false, false)
+	s4, _, f4 := runHinted(t, "lifetime", false, true)
 	if statKey(s3) != statKey(s4) || f3 != f4 {
 		t.Errorf("wrapped site-aware run diverged: %+v/%d vs %+v/%d", s3, f3, s4, f4)
 	}
