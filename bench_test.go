@@ -286,14 +286,12 @@ func BenchmarkCacheGroupBlockSweep(b *testing.B) {
 	b.ReportMetric(float64(g.DistinctLines()), "distinct-lines")
 }
 
-// BenchmarkStackSimSweepExact and BenchmarkStackSimSweepSampled drive
-// the default (ring over Fenwick tree) stack-distance engine with an
-// identical hot/cold paging stream in block mode, exact versus
-// page-sampled at rate 1/256 (WithSampleShift(8)). Their ns/op ratio is
-// the speedup the sampled mode buys on reconnaissance sweeps; the exact
-// mode remains the default and the only one the golden figures accept.
-func benchStackSimSweep(b *testing.B, opts ...vm.Option) {
-	s := vm.NewStackSim(opts...)
+// BenchmarkStackSimSweepExact drives the default (ring over Fenwick
+// tree) stack-distance engine with a hot/cold paging stream in block
+// mode: 20% of references to a 64-page hot set, the rest spread over
+// 1 Mi cold pages, so nearly every page switch reaches the tree tier.
+func BenchmarkStackSimSweepExact(b *testing.B) {
+	s := vm.NewStackSim()
 	r := rng.New(3)
 	blk := &trace.Block{}
 	for blk.Len() < 4096 {
@@ -311,9 +309,6 @@ func benchStackSimSweep(b *testing.B, opts ...vm.Option) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blk.Len()), "ns/ref")
 }
-
-func BenchmarkStackSimSweepExact(b *testing.B)   { benchStackSimSweep(b) }
-func BenchmarkStackSimSweepSampled(b *testing.B) { benchStackSimSweep(b, vm.WithSampleShift(8)) }
 
 // blockRecorder keeps a copy of every block a producer flushes (the
 // producer reuses its block, so the columns are cloned) and of every

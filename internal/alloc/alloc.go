@@ -69,9 +69,9 @@ type Allocator interface {
 // Checker is an optional interface implemented by allocators that can
 // audit their own heap structure (boundary-tag tiling, freelist
 // consistency — see HeapCheck). The shadow wrapper runs Check
-// periodically when the wrapped allocator implements it. Check performs
-// counted references on the simulated memory, so audited runs charge
-// more instructions than unaudited ones.
+// periodically when the wrapped allocator implements it. Check reads
+// the simulated memory uncounted, so an audited run emits the same
+// references and charges the same instructions as an unaudited one.
 type Checker interface {
 	// Check walks the heap and returns an error describing the first
 	// inconsistency found, if any.

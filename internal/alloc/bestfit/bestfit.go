@@ -185,8 +185,8 @@ func (a *Allocator) Stats() (allocs, frees, scanSteps uint64) {
 // Allocator can audit its own heap (shadow wrapper hook).
 var _ alloc.Checker = (*Allocator)(nil)
 
-// Check audits the heap representation. The walk performs counted
-// references; meant for tests and explicit audits.
+// Check audits the heap representation. The walk reads memory
+// uncounted (see alloc.HeapCheck).
 func (a *Allocator) Check() (alloc.HeapStats, error) {
 	hc := alloc.HeapCheck{
 		H:               &a.h,

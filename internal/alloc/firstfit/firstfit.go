@@ -313,9 +313,8 @@ func (a *Allocator) Stats() (allocs, frees, scanSteps uint64) {
 var _ alloc.Checker = (*Allocator)(nil)
 
 // Check audits the heap representation (tags, tiling, freelist
-// consistency). The walk performs counted references, so it is meant
-// for tests and explicitly requested audits (shadow wrapper), not for
-// measured hot paths.
+// consistency). The walk reads memory uncounted (see alloc.HeapCheck),
+// so the shadow wrapper's audits leave the measured run unchanged.
 func (a *Allocator) Check() (alloc.HeapStats, error) {
 	hc := alloc.HeapCheck{
 		H:               &a.h,

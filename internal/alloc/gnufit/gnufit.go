@@ -249,8 +249,7 @@ func (a *Allocator) Stats() (allocs, frees, scanSteps uint64) {
 var _ alloc.Checker = (*Allocator)(nil)
 
 // Check audits the heap representation (tags, tiling, bin consistency).
-// The walk performs counted references; meant for tests and explicit
-// audits.
+// The walk reads memory uncounted (see alloc.HeapCheck).
 func (a *Allocator) Check() (alloc.HeapStats, error) {
 	heads := make([]uint64, 0, NumBins)
 	for i := minBin; i < NumBins; i++ {

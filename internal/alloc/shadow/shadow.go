@@ -3,9 +3,9 @@
 //
 // The oracle is host-side state (an address-ordered treap of live
 // blocks plus per-block size/site bookkeeping) — it issues no simulated
-// references and charges no instructions, so wrapping changes nothing
-// about the run being measured except where periodic boundary-tag
-// audits are enabled (see Options.AuditEvery). Each Malloc and Free is
+// references and charges no instructions, and neither do its periodic
+// boundary-tag audits (see Options.AuditEvery), so wrapping changes
+// nothing about the run being measured. Each Malloc and Free is
 // checked for the contract documented on alloc.Allocator: returned
 // blocks must be word-aligned, non-null, inside the allocator's own
 // region span and disjoint from every live block; frees must target
@@ -104,7 +104,8 @@ type Options struct {
 	// AuditEvery runs a boundary-tag heap audit (alloc.Checker.Check)
 	// every AuditEvery operations, when the wrapped allocator
 	// implements Checker. 0 uses DefaultAuditEvery; set DisableAudit
-	// to turn audits off entirely. Audits perform counted references.
+	// to turn audits off entirely. Audits read simulated memory
+	// uncounted (alloc.HeapCheck), so the cadence changes no metric.
 	AuditEvery uint64
 	// DisableAudit turns periodic audits off.
 	DisableAudit bool

@@ -54,17 +54,20 @@ func PackTag(size uint64, allocated bool) uint64 {
 	return w
 }
 
+// unpackTag decodes a tag word.
+func unpackTag(w uint64) (size uint64, allocated bool) {
+	return w & sizeMask, w&allocBit != 0
+}
+
 // Header reads block b's header tag.
 func (h *BlockHeap) Header(b uint64) (size uint64, allocated bool) {
-	w := h.M.ReadWord(b)
-	return w & sizeMask, w&allocBit != 0
+	return unpackTag(h.M.ReadWord(b))
 }
 
 // FooterBefore reads the footer tag of the block that ends at address b
 // (i.e. the word at b-4), giving the left neighbour's size and status.
 func (h *BlockHeap) FooterBefore(b uint64) (size uint64, allocated bool) {
-	w := h.M.ReadWord(b - mem.WordSize)
-	return w & sizeMask, w&allocBit != 0
+	return unpackTag(h.M.ReadWord(b - mem.WordSize))
 }
 
 // SetTags writes both boundary tags of block b.

@@ -13,9 +13,9 @@
 //     per-process and shared across goroutines. All stochastic inputs
 //     must come from internal/rng, which is seeded explicitly and
 //     deterministic per (seed, stream). hash/maphash falls under the
-//     same rule: its seeds are randomized per process, so the sampled
-//     stack-distance filter (PR 7) hashes page numbers with a fixed
-//     avalanche function instead.
+//     same rule: its seeds are randomized per process, so a hash that
+//     selects or orders simulation state must be a fixed function of
+//     its input.
 //  3. Unsorted map iteration: a range over a map observes Go's
 //     randomized iteration order. The one blessed shape is the
 //     collect-keys-then-sort idiom — a loop body that only appends the
@@ -66,15 +66,12 @@ var clockFuncs = map[string]bool{
 // bannedImports map forbidden import paths to the replacement.
 // hash/maphash is banned for the same reason as global math/rand: its
 // seeds (maphash.MakeSeed, the zero-Hash auto-seed) are randomized per
-// process, so any sampling filter built on it would select a different
-// page population every run. The sampled stack-distance mode
-// (vm.WithSampleShift) must use a fixed avalanche hash of the page
-// number instead, keeping sampled curves a pure function of
-// (trace, shift).
+// process, so anything selected or ordered by it (say, a subset of
+// pages or lines) would differ between two runs of one trace.
 var bannedImports = map[string]string{
 	"math/rand":    "internal/rng (explicitly seeded, deterministic per stream)",
 	"math/rand/v2": "internal/rng (explicitly seeded, deterministic per stream)",
-	"hash/maphash": "a fixed avalanche hash of the value (vm's sampling hash); maphash seeds are randomized per process",
+	"hash/maphash": "a fixed avalanche hash of the value (such as SplitMix64's finalizer); maphash seeds are randomized per process",
 }
 
 func inScope(path string) bool {

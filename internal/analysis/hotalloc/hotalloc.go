@@ -1,7 +1,7 @@
 // Package hotalloc enforces the zero-allocation contract on the
 // simulation hot paths: the per-block and per-reference functions of
 // the cache, VM and trace layers (the fused cache.Group sweep,
-// lineSet.add/addRange, the sampled vm.StackSim probe, the trace.Block
+// lineSet.add/addRange, the vm.StackSim probe, the trace.Block
 // append paths and mem.Memory's touch/emit pipeline) execute once per
 // simulated memory reference, so a single heap allocation there is
 // multiplied by hundreds of millions and drowns the placement effects

@@ -1,24 +1,25 @@
 // Package puresim protects the shadow oracle's zero-perturbation
 // guarantee (PR 3): a run under -check must be byte-identical to an
 // unchecked run, which holds only because the oracle in
-// internal/alloc/shadow is pure host-side bookkeeping — it issues no
-// simulated memory references and charges no instructions.
+// internal/alloc/shadow is pure host-side bookkeeping and its periodic
+// heap audit reads simulated memory uncounted — neither issues
+// simulated memory references nor charges instructions.
 //
-// The analyzer computes the static call graph rooted at every function
-// of the shadow package (direct calls, followed across packages into
-// any function whose source is in the loaded tree) and reports paths
+// The analyzer computes the static call graph from two kinds of root —
+// every function of the shadow package, and the heap auditor's walk
+// alloc.(*HeapCheck).Run — following direct calls across packages into
+// any function whose source is in the loaded tree, and reports paths
 // that reach a reference-emitting or instruction-charging API:
 // (*mem.Memory).ReadWord/WriteWord/Touch/Flush/SetSink/SetBatching,
 // (*mem.Region).Sbrk, (*cost.Meter).Charge/ChargeTo/Enter, and
-// alloc.Charge.
+// alloc.Charge. The audit reads tags through (*mem.Memory).PeekWord,
+// which emits and charges nothing.
 //
 // Dynamic dispatch is the analysis boundary: calls through interfaces
 // (the wrapped alloc.Allocator, the alloc.Checker audit hook) are not
-// traversed. That boundary is the design, not a blind spot — the
-// forwarded allocator call is the run being measured, and the periodic
-// boundary-tag audit is documented as perturbing (shadow's AuditEvery
-// knob); what must stay pure is the oracle's own bookkeeping, which is
-// exactly the statically reachable code.
+// traversed. The forwarded allocator call is the run being measured;
+// the audit hook's implementations each build an alloc.HeapCheck and
+// call Run, which is why Run is a root of its own.
 package puresim
 
 import (
@@ -31,7 +32,7 @@ import (
 // Analyzer is the puresim analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "puresim",
-	Doc:  "code statically reachable from the shadow oracle must not emit simulated references or charge instructions (-check runs must stay byte-identical)",
+	Doc:  "code statically reachable from the shadow oracle or the heap audit walk must not emit simulated references or charge instructions (-check runs must stay byte-identical)",
 	Run:  run,
 }
 
@@ -61,16 +62,7 @@ func isBanned(fn *types.Func) (string, bool) {
 	if fn.Pkg() == nil {
 		return "", false
 	}
-	recv := ""
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if n, ok := t.(*types.Named); ok {
-			recv = n.Obj().Name()
-		}
-	}
+	recv := recvName(fn)
 	for _, b := range bannedFuncs {
 		if b.name == fn.Name() && b.recv == recv && analysis.PkgIs(fn.Pkg().Path(), b.pkg) {
 			qual := fn.Pkg().Name() + "." + fn.Name()
@@ -83,8 +75,55 @@ func isBanned(fn *types.Func) (string, bool) {
 	return "", false
 }
 
+// roots returns the package's functions the purity rule starts from,
+// and how diagnostics name them: every function of the shadow package,
+// or alloc's HeapCheck.Run.
+func roots(pass *analysis.Pass) (fns []*types.Func, what string) {
+	shadow := analysis.PkgIs(pass.Path, "shadow")
+	if !shadow && !analysis.PkgIs(pass.Path, "alloc") {
+		return nil, ""
+	}
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+			if !ok {
+				continue
+			}
+			if shadow || (obj.Name() == "Run" && recvName(obj) == "HeapCheck") {
+				fns = append(fns, obj)
+			}
+		}
+	}
+	if shadow {
+		return fns, "the shadow oracle"
+	}
+	return fns, "the heap audit"
+}
+
+// recvName returns the name of fn's receiver type, "" for a plain
+// function.
+func recvName(fn *types.Func) string {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return ""
+	}
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return ""
+}
+
 func run(pass *analysis.Pass) error {
-	if !analysis.PkgIs(pass.Path, "shadow") {
+	rootFns, what := roots(pass)
+	if len(rootFns) == 0 {
 		return nil
 	}
 	// Index every function body in the loaded tree so traversal can
@@ -108,7 +147,7 @@ func run(pass *analysis.Pass) error {
 
 	// visited[fn] — fn's transitive closure is known clean or already
 	// queued; impure call paths are reported once per offending edge
-	// out of the shadow package.
+	// out of a root.
 	visited := map[*types.Func]bool{}
 	var visit func(fn *types.Func, origin *ast.CallExpr, chain []string)
 	visit = func(fn *types.Func, origin *ast.CallExpr, chain []string) {
@@ -133,11 +172,11 @@ func run(pass *analysis.Pass) error {
 			if qual, bad := isBanned(callee); bad {
 				at := origin
 				if at == nil {
-					at = call // direct call from shadow code itself
+					at = call // direct call from the root itself
 				}
 				pass.Reportf(at.Pos(),
-					"%s is reachable from the shadow oracle via %s: the oracle must not emit references or charge instructions, or -check runs stop being byte-identical",
-					qual, chainString(append(chain, fn.FullName())))
+					"%s is reachable from %s via %s: it must not emit references or charge instructions, or -check runs stop being byte-identical",
+					qual, what, chainString(append(chain, fn.FullName())))
 				return true
 			}
 			next := origin
@@ -148,16 +187,8 @@ func run(pass *analysis.Pass) error {
 			return true
 		})
 	}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-				visit(obj, nil, nil)
-			}
-		}
+	for _, fn := range rootFns {
+		visit(fn, nil, nil)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 
 func TestPureSim(t *testing.T) {
 	// oraclehelp is loaded alongside shadow so the call-graph traversal
-	// can cross the package boundary.
-	analysistest.Run(t, "../testdata", puresim.Analyzer, "shadow", "oraclehelp")
+	// can cross the package boundary; walk/alloc holds the HeapCheck.Run
+	// root.
+	analysistest.Run(t, "../testdata", puresim.Analyzer, "shadow", "oraclehelp", "walk/alloc")
 }

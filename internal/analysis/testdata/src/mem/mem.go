@@ -21,6 +21,7 @@ var (
 type Memory struct{}
 
 func (m *Memory) ReadWord(addr uint64) uint64 { return addr }
+func (m *Memory) PeekWord(addr uint64) uint64 { return addr }
 func (m *Memory) WriteWord(addr, val uint64)  {}
 func (m *Memory) Touch(addr uint64, n uint64) {}
 func (m *Memory) Flush()                      {}

@@ -1,7 +1,6 @@
-// Package vm exercises the determinism rules for the sampled
-// stack-distance code: the sampling filter must be a pure function of
-// the page number, so hash/maphash — whose seeds are randomized per
-// process — is banned alongside global math/rand.
+// Package vm exercises the hash/maphash ban in a determinism-scoped
+// package: a hash that selects simulation state must be a pure function
+// of its input, and maphash seeds are randomized per process.
 package vm
 
 import (
@@ -10,10 +9,9 @@ import (
 
 var seed = maphash.MakeSeed()
 
-// SamplePage draws its sampling decision from a per-process random
-// seed: the same trace would select a different page population every
-// run.
-func SamplePage(page uint64) bool {
+// PickPage selects pages by a per-process random seed: the same trace
+// would select a different page population every run.
+func PickPage(page uint64) bool {
 	var h maphash.Hash
 	h.SetSeed(seed)
 	var buf [8]byte
@@ -24,10 +22,10 @@ func SamplePage(page uint64) bool {
 	return h.Sum64()&63 == 0
 }
 
-// SamplePageFixed is the blessed shape: a fixed avalanche hash
+// PickPageFixed is the blessed shape: a fixed avalanche hash
 // (SplitMix64's finalizer) of the page number, identical in every
 // process.
-func SamplePageFixed(page uint64) bool {
+func PickPageFixed(page uint64) bool {
 	z := page + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb

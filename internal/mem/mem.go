@@ -438,6 +438,24 @@ func (m *Memory) ReadWord(addr uint64) uint64 {
 	return uint64(binary.LittleEndian.Uint32(p[off : off+WordSize]))
 }
 
+// PeekWord loads the 32-bit word at addr with ReadWord's alignment and
+// region-bounds checks, but emits no reference, charges no instruction
+// and materializes no backing page. It is the heap auditor's read
+// (alloc.HeapCheck): an audited run must measure exactly what the
+// unaudited run measures.
+func (m *Memory) PeekWord(addr uint64) uint64 {
+	if addr%WordSize != 0 {
+		panic(fmt.Sprintf("mem: unaligned word read at %#x", addr))
+	}
+	m.checkAddr(addr, WordSize)
+	p := m.pages[PageOf(addr)]
+	if p == nil {
+		return 0
+	}
+	off := PageOffset(addr)
+	return uint64(binary.LittleEndian.Uint32(p[off : off+WordSize]))
+}
+
 // WriteWord stores a 32-bit word at addr (word-aligned), emitting a
 // write reference and charging one instruction. Values must fit in 32
 // bits: the simulated machine is a 32-bit DECstation, and all addresses

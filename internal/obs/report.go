@@ -78,14 +78,10 @@ type VMPoint struct {
 
 // VMSummary is the report's view of the page-fault simulation.
 type VMSummary struct {
-	PageSize      uint64 `json:"page_size"`
-	Refs          uint64 `json:"refs"`
-	DistinctPages uint64 `json:"distinct_pages"`
-	// SampleRate is the stack-distance sampling rate: absent (0) or 1
-	// for exact simulation, 2^-k when the run sampled pages at rate
-	// 2^-k and the curve's fault counts are scaled estimates.
-	SampleRate float64   `json:"sample_rate,omitempty"`
-	Curve      []VMPoint `json:"curve,omitempty"`
+	PageSize      uint64    `json:"page_size"`
+	Refs          uint64    `json:"refs"`
+	DistinctPages uint64    `json:"distinct_pages"`
+	Curve         []VMPoint `json:"curve,omitempty"`
 }
 
 // Report is the machine-readable result of one simulation run: the

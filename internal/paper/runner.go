@@ -67,12 +67,6 @@ type Runner struct {
 	// pair and aggregated by ShadowSnapshots.
 	CheckHeap bool
 
-	// PageSampleShift > 0 switches the page-fault simulations to
-	// sampled stack distances at rate 2^-PageSampleShift
-	// (sim.Config.PageSampleShift). Sampled curves are estimates: the
-	// golden figures require the exact default of 0.
-	PageSampleShift uint
-
 	mu       sync.Mutex
 	memo     map[string]*sim.Result
 	inflight map[string]*flight
@@ -158,12 +152,11 @@ func (r *Runner) runPair(ctx context.Context, progName, allocName string) (*sim.
 		cfgs[i] = cache.Config{Size: s}
 	}
 	cfg := sim.Config{
-		Allocator:       allocName,
-		Scale:           r.Scale,
-		Seed:            r.Seed,
-		Caches:          cfgs,
-		PageSampleShift: r.PageSampleShift,
-		CheckHeap:       r.CheckHeap,
+		Allocator: allocName,
+		Scale:     r.Scale,
+		Seed:      r.Seed,
+		Caches:    cfgs,
+		CheckHeap: r.CheckHeap,
 	}
 	if srv, ok := workload.ServerByName(progName); ok {
 		cfg.Server = &srv

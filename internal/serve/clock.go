@@ -7,25 +7,24 @@
 // internal/analysis/determinism).
 package serve
 
-import "time"
+import (
+	"time"
 
-// Clock abstracts the two time operations the server performs. The
-// production implementation is RealClock; tests use a fake whose After
-// channels fire on demand.
+	"mallocsim/internal/store"
+)
+
+// Clock is the store's clock (Now, used here for job timestamps and
+// queue latency metrics) plus After. The production implementation is
+// RealClock; tests use a fake whose After channels fire on demand.
 type Clock interface {
-	// Now returns the current time. Used for job timestamps and queue
-	// latency metrics only — never for anything that feeds a report.
-	Now() time.Time
+	store.Clock
 	// After returns a channel that delivers one value after d elapses,
 	// like time.After. Used to arm per-job deadlines.
 	After(d time.Duration) <-chan time.Time
 }
 
 // RealClock is the wall clock.
-type RealClock struct{}
-
-// Now implements Clock.
-func (RealClock) Now() time.Time { return time.Now() }
+type RealClock struct{ store.RealClock }
 
 // After implements Clock.
 func (RealClock) After(d time.Duration) <-chan time.Time { return time.After(d) }

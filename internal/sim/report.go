@@ -55,11 +55,6 @@ func (r *Result) Report() *obs.Report {
 			Refs:          r.Curve.Refs,
 			DistinctPages: r.Curve.DistinctPages(),
 		}
-		if r.Curve.SampleShift > 0 {
-			// Label sampled (estimated) curves; exact runs leave the
-			// field absent so existing report bytes are unchanged.
-			v.SampleRate = r.Curve.SampleRate()
-		}
 		// Fault curve at power-of-two memory sizes up to the point where
 		// only cold faults remain — the paper's Figures 2/3 x-axis.
 		for _, p := range r.Curve.Sweep() {

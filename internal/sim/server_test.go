@@ -70,7 +70,14 @@ func TestServerRunReport(t *testing.T) {
 	}
 
 	// Single-threaded program runs must keep the schema untouched.
-	plain, err := Run(pagingConfig(t, "gawk", 256))
+	gawk, _ := workload.ByName("gawk")
+	plain, err := Run(Config{
+		Program:   gawk,
+		Allocator: "quickfit",
+		Scale:     256,
+		Caches:    []cache.Config{{Size: 16 << 10}, {Size: 64 << 10}},
+		PageSim:   true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
 	"mallocsim/internal/alloc/all"
+	"mallocsim/internal/cache"
 	"mallocsim/internal/workload"
 )
 
@@ -59,40 +61,50 @@ func TestCheckedPaperMatrix(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCheckedRunMatchesUnchecked: the shadow wrapper is host-side only,
-// so a checked run must report byte-identical paper metrics to the
-// unchecked run — except where periodic audits (which walk the heap with
-// counted references) are enabled; this test therefore audits only at
-// the end via cadence larger than the op count.
+// TestCheckedRunMatchesUnchecked: the shadow wrapper and its periodic
+// boundary-tag audits are host-side only, so a checked run at the
+// default audit cadence must measure exactly what the unchecked run
+// measures — per-domain instructions, references, cache results, the
+// fault curve and the footprint — for every allocator implementing
+// alloc.Checker, whose audits walk its heap during the run.
 func TestCheckedRunMatchesUnchecked(t *testing.T) {
-	prog, _ := workload.ByName("make")
-	base, err := Run(Config{Program: prog, Allocator: "firstfit", Scale: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checked, err := Run(Config{
-		Program:   prog,
-		Allocator: "firstfit",
-		Scale:     64,
-		CheckHeap: true,
-		// One op between audits would perturb counts; push the cadence
-		// beyond the run length so only the end-of-run audit happens
-		// after the workload's metrics are final.
-		AuditEvery: 1 << 62,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Instr.Total() != checked.Instr.Total() {
-		t.Errorf("instruction counts diverge: %d vs %d", base.Instr.Total(), checked.Instr.Total())
-	}
-	if base.Refs != checked.Refs {
-		t.Errorf("reference counts diverge: %+v vs %+v", base.Refs, checked.Refs)
-	}
-	if base.Footprint != checked.Footprint {
-		t.Errorf("footprints diverge: %d vs %d", base.Footprint, checked.Footprint)
-	}
-	if checked.Shadow == nil || checked.Shadow.Violations != 0 {
-		t.Errorf("checked run not clean: %+v", checked.Shadow)
+	prog, _ := workload.ByName("espresso")
+	for _, name := range []string{"firstfit", "gnufit", "bestfit"} {
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{
+				Program:   prog,
+				Allocator: name,
+				Scale:     128,
+				Caches:    []cache.Config{{Size: 16 << 10}, {Size: 64 << 10}},
+				PageSim:   true,
+			}
+			base, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.CheckHeap = true
+			checked, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := checked.Shadow; s == nil || s.Violations != 0 || s.Audits < 2 {
+				t.Fatalf("checked run must be clean and audit during the run: %+v", s)
+			}
+			if base.Instr != checked.Instr {
+				t.Errorf("instruction counts diverge: %+v vs %+v", base.Instr, checked.Instr)
+			}
+			if base.Refs != checked.Refs {
+				t.Errorf("reference counts diverge: %+v vs %+v", base.Refs, checked.Refs)
+			}
+			if !reflect.DeepEqual(base.Caches, checked.Caches) {
+				t.Errorf("cache results diverge: %+v vs %+v", base.Caches, checked.Caches)
+			}
+			if !reflect.DeepEqual(base.Curve, checked.Curve) {
+				t.Error("fault curves diverge")
+			}
+			if base.Footprint != checked.Footprint {
+				t.Errorf("footprints diverge: %d vs %d", base.Footprint, checked.Footprint)
+			}
+		})
 	}
 }

@@ -60,11 +60,6 @@ type Config struct {
 	Caches []cache.Config
 	// PageSim enables LRU stack-distance page-fault simulation.
 	PageSim bool
-	// PageSampleShift, with PageSim, samples stack distances at rate
-	// 2^-PageSampleShift instead of simulating every page exactly (see
-	// vm.WithSampleShift). 0 keeps the exact default; the rate is
-	// recorded on the curve and in run reports.
-	PageSampleShift uint
 
 	// Recorder, when non-nil, enables the observability layer: the
 	// allocator is wrapped with obs.Instrument and per-call metrics
@@ -169,11 +164,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	var pages *vm.StackSim
 	if cfg.PageSim {
-		var vopts []vm.Option
-		if cfg.PageSampleShift > 0 {
-			vopts = append(vopts, vm.WithSampleShift(cfg.PageSampleShift))
-		}
-		pages = vm.NewStackSim(vopts...)
+		pages = vm.NewStackSim()
 		sinks = append(sinks, pages)
 	}
 

@@ -11,8 +11,10 @@ import "time"
 // RealClock; tests inject a fixed or stepping clock so index documents
 // are byte-reproducible.
 type Clock interface {
-	// Now returns the current time. Used for Entry.StoredAt only —
-	// never for anything that feeds object content.
+	// Now returns the current time. Used for timestamps only (here
+	// Entry.StoredAt; serve.Clock embeds this interface for job
+	// timestamps) — never for anything that feeds object or report
+	// content.
 	Now() time.Time
 }
 

@@ -10,31 +10,20 @@
 // is then the number of references at distance >= M plus the cold
 // (first-touch) references.
 //
-// Two exact engines are provided. The default is a two-tier LRU stack:
-// a 32-page most-recently-used ring answers a page at distance d < 32
-// in O(d), and a Fenwick tree after Bennett & Kruskal holds the deeper
-// pages (O(log n) over flat arrays). A simple move-to-front list
-// (O(depth) per reference) is the oracle in tests. Both produce
-// identical distances.
-//
-// Orthogonally, WithSampleShift enables sampled stack distances: only
-// pages selected by a deterministic address hash (rate 2^-k) go through
-// the engine, and their distances and fault counts are scaled by 2^k.
-// Sampling trades exactness for speed on very large traces; the exact
-// mode remains the default, and the sampling rate is recorded on the
-// curve so downstream reports can label estimated figures.
+// The simulation is exact, over mem.PageSize pages. Its engine is a
+// two-tier LRU stack: a 32-page most-recently-used ring answers a page
+// at distance d < 32 in O(d), and a Fenwick tree after Bennett &
+// Kruskal holds the deeper pages (O(log n) over flat arrays). A simple
+// move-to-front list (O(depth) per reference) is the oracle in tests.
+// Both produce identical distances.
 package vm
 
 import (
-	"fmt"
 	"math/bits"
 
 	"mallocsim/internal/mem"
 	"mallocsim/internal/trace"
 )
-
-// DefaultPageSize matches the paper's 4 KB pages.
-const DefaultPageSize = mem.PageSize
 
 // Curve is the outcome of a stack simulation: everything needed to
 // compute fault counts for any memory size.
@@ -45,21 +34,8 @@ type Curve struct {
 	// Hist[d] counts references with stack distance d (0 = re-reference
 	// of the most recently used page).
 	Hist []uint64
-	// Refs is the total page references simulated. It is exact even in
-	// sampled mode (every reference is counted; only the distance work
-	// is sampled), so FaultRate keeps an exact denominator.
+	// Refs is the total page references simulated.
 	Refs uint64
-	// SampleShift records the sampling mode: 0 for exact simulation,
-	// else pages were sampled at rate 2^-SampleShift and Cold and Hist
-	// hold scaled estimates (each sampled event counted 2^SampleShift
-	// times, distances scaled likewise).
-	SampleShift uint
-}
-
-// SampleRate returns the page sampling rate: 1 for exact simulation,
-// 2^-SampleShift in sampled mode.
-func (c *Curve) SampleRate() float64 {
-	return 1 / float64(uint64(1)<<c.SampleShift)
 }
 
 // Faults returns the number of page faults for a memory of `pages`
@@ -160,77 +136,22 @@ type engine interface {
 // implements trace.Sink; references spanning page boundaries count once
 // per page touched.
 type StackSim struct {
-	pageSize  uint64
-	pageShift uint
-	eng       engine
-	curve     Curve
+	eng   engine
+	curve Curve
 	// lastPage short-circuits consecutive references to one page, a
 	// large constant-factor win on real traces (spatial locality) that
 	// does not change the histogram: distance-0 re-references are hits
 	// at every memory size >= 1.
 	lastPage uint64
 	havePage bool
-	// lastSampled caches whether lastPage passed the sampling filter,
-	// so the short-circuit path needs no re-hash: in exact mode it is
-	// always true.
-	lastSampled bool
-	// shift/sampleMask/weight implement sampled mode (WithSampleShift):
-	// a page is sampled iff hash(page)&sampleMask == 0, and each
-	// sampled event carries weight 2^shift.
-	shift      uint
-	sampleMask uint64
-	weight     uint64
 }
 
-// Option configures a StackSim.
-type Option func(*StackSim)
+// NewStackSim creates an exact stack simulator over the two-tier
+// engine.
+func NewStackSim() *StackSim { return newStackSim(newFenwick()) }
 
-// WithPageSize overrides the default 4 KB page size (must be a power of
-// two).
-func WithPageSize(n uint64) Option {
-	return func(s *StackSim) { s.pageSize = n }
-}
-
-// WithListEngine selects the O(depth) move-to-front list engine instead
-// of the default. Used by tests to cross-check the implementations.
-func WithListEngine() Option {
-	return func(s *StackSim) { s.eng = newMTFList() }
-}
-
-// WithSampleShift enables sampled stack distances at rate 2^-k (k = 0
-// keeps exact simulation). Pages are selected by a deterministic
-// SplitMix64-style hash of the page number — no global RNG, identical
-// selection on every run — and only selected pages pass through the
-// distance engine; their distances, cold counts and histogram weights
-// are scaled by 2^k so the fault curve estimates the exact one.
-// Curve.SampleShift records the mode for downstream reports.
-func WithSampleShift(k uint) Option {
-	if k >= 32 {
-		panic(fmt.Sprintf("vm: sample shift %d out of range", k))
-	}
-	return func(s *StackSim) { s.shift = k }
-}
-
-// NewStackSim creates a stack simulator.
-func NewStackSim(opts ...Option) *StackSim {
-	s := &StackSim{pageSize: DefaultPageSize}
-	for _, o := range opts {
-		o(s)
-	}
-	if s.pageSize == 0 || s.pageSize&(s.pageSize-1) != 0 {
-		panic(fmt.Sprintf("vm: page size %d not a power of two", s.pageSize))
-	}
-	for p := s.pageSize; p > 1; p >>= 1 {
-		s.pageShift++
-	}
-	if s.eng == nil {
-		s.eng = newFenwick()
-	}
-	s.sampleMask = uint64(1)<<s.shift - 1
-	s.weight = uint64(1) << s.shift
-	s.curve.PageSize = s.pageSize
-	s.curve.SampleShift = s.shift
-	return s
+func newStackSim(eng engine) *StackSim {
+	return &StackSim{eng: eng, curve: Curve{PageSize: mem.PageSize}}
 }
 
 // Ref implements trace.Sink.
@@ -239,14 +160,14 @@ func (s *StackSim) Ref(r trace.Ref) {
 	if size == 0 {
 		size = 1
 	}
-	first := r.Addr >> s.pageShift
+	first := mem.PageOf(r.Addr)
 	end := r.Addr + size - 1
 	if end < r.Addr {
 		// Clamp spans that wrap the 64-bit address space so the
 		// page-walk below terminates.
 		end = ^uint64(0)
 	}
-	last := end >> s.pageShift
+	last := mem.PageOf(end)
 	if first == last {
 		s.accessPage(first)
 		return
@@ -272,10 +193,9 @@ func (s *StackSim) Refs(batch []trace.Ref) {
 // references (kinds are irrelevant to fault behaviour).
 func (s *StackSim) Block(b *trace.Block) {
 	// Same-page repeats — by far the hot case in a word-granular stream
-	// — accumulate in locals: a repeat is distance 0 with the current
-	// page's (cached) sample verdict, so a run of n repeats folds into
-	// Refs += n and Hist[0] += n·weight, which commute with everything
-	// the engine does at the next page switch.
+	// — accumulate in locals: a repeat is distance 0, so a run of n
+	// repeats folds into Refs += n and Hist[0] += n, which commute with
+	// everything the engine does at the next page switch.
 	var refs, repeats uint64
 	runs := b.Runs
 	for i, addr := range b.Addrs {
@@ -288,7 +208,7 @@ func (s *StackSim) Block(b *trace.Block) {
 			// A size dividing the power-of-two page size is a power of
 			// two no larger than it, so masks and shifts replace the
 			// divisions of the aligned contract.
-			if size == 0 || size&(size-1) != 0 || size > s.pageSize ||
+			if size == 0 || size&(size-1) != 0 || size > mem.PageSize ||
 				addr&(size-1) != 0 || size*n-1 > ^uint64(0)-addr {
 				// Run row outside the aligned contract: expand it
 				// reference by reference through the exact path.
@@ -305,18 +225,18 @@ func (s *StackSim) Block(b *trace.Block) {
 			}
 			// Aligned run: no element spans a page, so the row walks
 			// pages first.. with k elements in the current page (bounded
-			// by the page boundary, then pageSize/size per full page).
+			// by the page boundary, then PageSize/size per full page).
 			// The first element of each new page goes through the
 			// engine; the k-1 others are distance-0 repeats, folded like
 			// the cross-row repeat accumulator below — with the same
 			// flush-before-page-switch discipline, so the histogram is
 			// byte-identical to element-by-element simulation.
 			sizeShift := uint(bits.TrailingZeros64(size))
-			k := (s.pageSize - addr&(s.pageSize-1)) >> sizeShift
+			k := (mem.PageSize - mem.PageOffset(addr)) >> sizeShift
 			if k > n {
 				k = n
 			}
-			p := addr >> s.pageShift
+			p := mem.PageOf(addr)
 			for {
 				if s.havePage && p == s.lastPage {
 					repeats += k
@@ -335,7 +255,7 @@ func (s *StackSim) Block(b *trace.Block) {
 					break
 				}
 				p++
-				if k = s.pageSize >> sizeShift; k > n {
+				if k = mem.PageSize >> sizeShift; k > n {
 					k = n
 				}
 			}
@@ -344,12 +264,12 @@ func (s *StackSim) Block(b *trace.Block) {
 		if size == 0 {
 			size = 1
 		}
-		first := addr >> s.pageShift
+		first := mem.PageOf(addr)
 		end := addr + size - 1
 		if end < addr {
 			end = ^uint64(0)
 		}
-		last := end >> s.pageShift
+		last := mem.PageOf(end)
 		if first == last && s.havePage && first == s.lastPage {
 			refs++
 			repeats++
@@ -372,56 +292,36 @@ func (s *StackSim) Block(b *trace.Block) {
 	s.curve.Refs += refs
 }
 
-// foldRepeats applies n accumulated same-page re-references: each is a
-// distance-0 event recorded only when the page passed the sample filter
-// (Refs are added separately by Block).
+// foldRepeats applies n accumulated same-page re-references, each a
+// distance-0 event (Refs are added separately by Block).
 func (s *StackSim) foldRepeats(n uint64) {
-	if !s.lastSampled {
-		return
-	}
 	if len(s.curve.Hist) == 0 {
 		s.curve.Hist = append(s.curve.Hist, 0)
 	}
-	s.curve.Hist[0] += n * s.weight
+	s.curve.Hist[0] += n
 }
 
 func (s *StackSim) accessPage(p uint64) {
 	s.curve.Refs++
 	if s.havePage && p == s.lastPage {
-		if s.lastSampled {
-			s.record(0)
-		}
+		s.record(0)
 		return
 	}
 	s.lastPage = p
 	s.havePage = true
-	if s.shift != 0 && pageHash(p)&s.sampleMask != 0 {
-		s.lastSampled = false
-		return
-	}
-	s.lastSampled = true
 	d := s.eng.access(p)
 	if d < 0 {
-		s.curve.Cold += s.weight
+		s.curve.Cold++
 		return
 	}
-	s.record(d << s.shift)
-}
-
-// pageHash is the SplitMix64 finalizer: the deterministic page filter
-// of sampled mode.
-func pageHash(page uint64) uint64 {
-	z := page + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	s.record(d)
 }
 
 func (s *StackSim) record(d int) {
 	for d >= len(s.curve.Hist) {
 		s.curve.Hist = append(s.curve.Hist, 0)
 	}
-	s.curve.Hist[d] += s.weight
+	s.curve.Hist[d]++
 }
 
 // Curve returns the accumulated result. The returned value shares the

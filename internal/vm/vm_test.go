@@ -5,13 +5,17 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mallocsim/internal/mem"
 	"mallocsim/internal/rng"
 	"mallocsim/internal/trace"
 )
 
 func pageRef(page uint64) trace.Ref {
-	return trace.Ref{Addr: page * DefaultPageSize, Size: 4, Kind: trace.Read}
+	return trace.Ref{Addr: page * mem.PageSize, Size: 4, Kind: trace.Read}
 }
+
+// newListSim builds a simulator over the move-to-front list oracle.
+func newListSim() *StackSim { return newStackSim(newMTFList()) }
 
 func TestColdOnly(t *testing.T) {
 	s := NewStackSim()
@@ -68,7 +72,7 @@ func TestSamePageShortCircuit(t *testing.T) {
 
 func TestPageSpanningRef(t *testing.T) {
 	s := NewStackSim()
-	s.Ref(trace.Ref{Addr: DefaultPageSize - 2, Size: 4})
+	s.Ref(trace.Ref{Addr: mem.PageSize - 2, Size: 4})
 	if s.Curve().Refs != 2 || s.Curve().Cold != 2 {
 		t.Errorf("spanning ref: %+v", s.Curve())
 	}
@@ -146,7 +150,7 @@ func TestAgainstBruteForce(t *testing.T) {
 func TestDefaultEngineMatchesList(t *testing.T) {
 	r := rng.New(99)
 	sim := NewStackSim()
-	listSim := NewStackSim(WithListEngine())
+	listSim := newListSim()
 	for i := 0; i < 30000; i++ {
 		var p uint64
 		if r.Bool(0.6) {
@@ -181,7 +185,7 @@ func TestDefaultEngineMatchesList(t *testing.T) {
 func TestQuickEnginesAgree(t *testing.T) {
 	prop := func(raw []byte) bool {
 		a := NewStackSim()
-		b := NewStackSim(WithListEngine())
+		b := newListSim()
 		for _, v := range raw {
 			a.Ref(pageRef(uint64(v % 32)))
 			b.Ref(pageRef(uint64(v % 32)))
@@ -228,7 +232,6 @@ func TestEngineTierBoundaries(t *testing.T) {
 	cases := []struct {
 		name string
 		seq  []uint64
-		opts []Option
 		// tree: the stream must demote pages into the tree; compact:
 		// the kind of demoting access that must trigger a compaction.
 		tree    bool
@@ -239,12 +242,11 @@ func TestEngineTierBoundaries(t *testing.T) {
 		{name: "33 pages", seq: cycle(33, 4000), tree: true, compact: "tree hit"},
 		{name: "ring never fills", seq: random(8, 4000)},
 		{name: "compaction on a cold access", seq: cycle(3000, 3000), tree: true, compact: "cold access"},
-		{name: "sampled", seq: random(2000, 40000), opts: []Option{WithSampleShift(2)}, tree: true, compact: "tree hit"},
+		{name: "random 500 pages", seq: random(500, 40000), tree: true, compact: "tree hit"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := NewStackSim(tc.opts...)
-			list := NewStackSim(append(tc.opts, WithListEngine())...)
+			s, list := NewStackSim(), newListSim()
 			f := s.eng.(*fenwick)
 			demoted, compacted := false, map[string]bool{}
 			for _, p := range tc.seq {
@@ -291,7 +293,7 @@ func FuzzStackSimEngines(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, list := NewStackSim(), NewStackSim(WithListEngine())
+		s, list := NewStackSim(), newListSim()
 		for rep := 0; rep < 4; rep++ {
 			for _, v := range data {
 				p := uint64(v) % 200
@@ -306,21 +308,6 @@ func FuzzStackSimEngines(f *testing.F) {
 			t.Fatalf("distinct pages: default %d, list %d", s.DistinctPages(), list.DistinctPages())
 		}
 	})
-}
-
-func TestWithPageSizeOption(t *testing.T) {
-	s := NewStackSim(WithPageSize(256))
-	s.Ref(trace.Ref{Addr: 0, Size: 4})
-	s.Ref(trace.Ref{Addr: 256, Size: 4})
-	if s.Curve().Cold != 2 {
-		t.Errorf("cold = %d with 256-byte pages", s.Curve().Cold)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("non-power-of-two page size must panic")
-		}
-	}()
-	NewStackSim(WithPageSize(1000))
 }
 
 func TestCurveEmpty(t *testing.T) {

@@ -6,7 +6,7 @@ import (
 	"mallocsim/internal/trace"
 )
 
-// Dynamic half of the hotalloc contract for the VM tier: the sampled
+// Dynamic half of the hotalloc contract for the VM tier: the
 // stack-distance probe must not allocate once its page table, distance
 // engine and histogram have been materialized by a warm-up sweep.
 
@@ -27,18 +27,8 @@ func stackSimBlock() *trace.Block {
 	return b
 }
 
-func TestStackSimSampledBlockZeroAlloc(t *testing.T) {
-	s := NewStackSim(WithSampleShift(3))
-	b := stackSimBlock()
-	s.Block(b) // materialize page table, slot space and histogram
-	s.Block(b) // second pass reaches the steady reuse-distance profile
-	if avg := testing.AllocsPerRun(20, func() { s.Block(b) }); avg != 0 {
-		t.Errorf("warmed sampled StackSim.Block allocates %.1f allocs/op, want 0", avg)
-	}
-}
-
 func TestStackSimExactBlockZeroAlloc(t *testing.T) {
-	s := NewStackSim() // shift 0: exact simulation
+	s := NewStackSim()
 	b := stackSimBlock()
 	s.Block(b)
 	s.Block(b)

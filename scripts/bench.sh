@@ -18,23 +18,31 @@
 # alongside run reports and paper tables.
 #
 # After the run, the new snapshot is compared benchstat-style against
-# the most recent snapshot already in the baseline store (old ns/op,
-# new ns/op, delta per benchmark). With BENCH_CHECK=1 the script exits
-# 3 when BenchmarkRunAllParallel or BenchmarkServerWorkload regressed
-# by more than BENCH_MAX_PCT percent (default 10) — the CI bench job's
-# regression gate.
+# the most recent snapshot already in the baseline store: per
+# benchmark, the median ns/op of each side's samples, the delta between
+# the medians and the sample counts. With BENCH_CHECK=1 the script
+# exits 3 when the median of BenchmarkRunAllParallel or
+# BenchmarkServerWorkload regressed by more than BENCH_MAX_PCT percent
+# (default 10) against the baseline's median — the CI bench job's
+# regression gate. Those two run BENCH_COUNT times, because one run of
+# either moves by tens of percent with host noise alone; a baseline
+# holding a single sample counts as its own median. Every sample is
+# kept in the .txt and .json snapshots, so benchstat sees them all.
 #
 # Environment:
 #   MALLOCSIM_BENCH_SCALE  experiment scale divisor (default 128; the
 #                          full-matrix RunAll benchmark honours it)
 #   BENCH_TIME             -benchtime for the micro-benchmarks
 #                          (default 1s; RunAll always runs 1x)
+#   BENCH_COUNT            runs of each gated benchmark (default 5); the
+#                          gate compares their median
 #   BENCH_OUT              output directory (default bench/)
 #   BENCH_TAG              optional snapshot tag appended to the stamp
 #   BENCH_BASELINE_STORE   store to compare against and ingest into
 #                          (default bench/store)
 #   BENCH_CHECK            1 = fail (exit 3) on a >BENCH_MAX_PCT
-#                          regression of BenchmarkRunAllParallel or
+#                          regression of the median of
+#                          BenchmarkRunAllParallel or
 #                          BenchmarkServerWorkload
 #   BENCH_MAX_PCT          regression threshold percent (default 10)
 #
@@ -52,6 +60,12 @@ txt="$out/BENCH_$stamp.txt"
 json="$out/BENCH_$stamp.json"
 baseline="${BENCH_BASELINE_STORE:-bench/store}"
 maxpct="${BENCH_MAX_PCT:-10}"
+count="${BENCH_COUNT:-5}"
+case "$count" in
+  '' | *[!0-9]* | 0)
+    echo "bench.sh: BENCH_COUNT must be a positive integer, got '$count'" >&2
+    exit 2 ;;
+esac
 mkdir -p "$out"
 
 # Capture the previous snapshot (the old side of the comparison)
@@ -66,7 +80,7 @@ if [ -d "$baseline" ]; then
   fi
 fi
 
-micro='BenchmarkWorkloadSynthesis$|BenchmarkCacheDirectMapped$|BenchmarkCacheGroupSweep$|BenchmarkCacheGroupBlockSweep$|BenchmarkCacheGroupPairReplay$|BenchmarkSharingMultiRegion$|BenchmarkStackSimRef$|BenchmarkStackSimSweepExact$|BenchmarkStackSimSweepSampled$|BenchmarkStackSimPairReplay$'
+micro='BenchmarkWorkloadSynthesis$|BenchmarkCacheDirectMapped$|BenchmarkCacheGroupSweep$|BenchmarkCacheGroupBlockSweep$|BenchmarkCacheGroupPairReplay$|BenchmarkSharingMultiRegion$|BenchmarkStackSimRef$|BenchmarkStackSimSweepExact$|BenchmarkStackSimPairReplay$'
 matrix='BenchmarkRunAllParallel$|BenchmarkServerWorkload$'
 
 {
@@ -74,14 +88,14 @@ matrix='BenchmarkRunAllParallel$|BenchmarkServerWorkload$'
   # with their allocators and mem emit, into a row-counting sink),
   # cache simulator hot paths (per-ref and columnar block delivery,
   # and the cache group's replay of a recorded gs/firstfit stream), the sharing attributor over a server pair's
-  # multi-region layout, and the LRU stack engine (per-ref, block
-  # exact and sampled, and the replay of the same recorded stream).
+  # multi-region layout, and the LRU stack engine (per-ref, block, and
+  # the replay of the same recorded stream).
   # Several iterations each so benchstat has samples.
   go test -run '^$' -bench "$micro" -benchtime "$benchtime" .
   # Full experiment matrix through the parallel runner, plus the
-  # concurrent server sweep: one iteration each (they regenerate whole
-  # experiment tables per op).
-  go test -run '^$' -bench "$matrix" -benchtime 1x .
+  # concurrent server sweep: one iteration per sample (they regenerate
+  # whole experiment tables per op), BENCH_COUNT samples for the gate.
+  go test -run '^$' -bench "$matrix" -benchtime 1x -count "$count" .
 } | tee "$txt"
 
 # Distil the raw output into JSON without external dependencies.
@@ -122,7 +136,8 @@ if [ "$out/store" != "$baseline" ] && [ -d "$out/store" ]; then
 fi
 
 # Benchstat-style comparison against the previous snapshot. Both sides
-# are the script's own JSON format: benchmark objects carry ns_per_op.
+# are the script's own JSON format: benchmark objects carry ns_per_op,
+# one object per sample.
 if [ -n "$prev" ]; then
   echo ""
   awk -v maxpct="$maxpct" -v check="${BENCH_CHECK:-0}" '
@@ -138,6 +153,16 @@ if [ -n "$prev" ]; then
       return substr(line, RSTART + 13, RLENGTH - 13) + 0
     return -1
   }
+  # median of samples[name, 1..k], by insertion sort into s.
+  function median(samples, name, k,    s, i, j, v) {
+    for (i = 1; i <= k; i++) {
+      v = samples[name, i]
+      for (j = i - 1; j >= 1 && s[j] > v; j--) s[j + 1] = s[j]
+      s[j + 1] = v
+    }
+    if (k % 2) return s[(k + 1) / 2]
+    return (s[k / 2] + s[k / 2 + 1]) / 2
+  }
   /"date":/ {
     if (match($0, /"date": "[^"]*"/)) {
       d = substr($0, RSTART + 9, RLENGTH - 10)
@@ -147,25 +172,30 @@ if [ -n "$prev" ]; then
   /"name":/ {
     name = getname($0); ns = getns($0)
     if (name == "" || ns < 0) next
-    if (FNR == NR) { old[name] = ns }
-    else { new[name] = ns; order[++n] = name }
+    if (FNR == NR) { old[name, ++oldn[name]] = ns }
+    else {
+      if (!(name in newn)) order[++n] = name
+      new[name, ++newn[name]] = ns
+    }
   }
   END {
-    printf "benchstat %s vs %s\n", olddate, newdate
-    printf "%-34s %14s %14s %9s\n", "benchmark", "old ns/op", "new ns/op", "delta"
+    printf "benchstat %s vs %s (median ns/op)\n", olddate, newdate
+    printf "%-42s %14s %14s %9s %6s\n", "benchmark", "old ns/op", "new ns/op", "delta", "runs"
     fail = 0
     for (i = 1; i <= n; i++) {
       name = order[i]
-      if (!(name in old)) {
-        printf "%-34s %14s %14.2f %9s\n", name, "-", new[name], "new"
+      newmed = median(new, name, newn[name])
+      if (!(name in oldn)) {
+        printf "%-42s %14s %14.2f %9s %6s\n", name, "-", newmed, "new", "-/" newn[name]
         continue
       }
-      delta = (new[name] - old[name]) / old[name] * 100
-      printf "%-34s %14.2f %14.2f %+8.1f%%\n", name, old[name], new[name], delta
+      oldmed = median(old, name, oldn[name])
+      delta = (newmed - oldmed) / oldmed * 100
+      printf "%-42s %14.2f %14.2f %+8.1f%% %6s\n", name, oldmed, newmed, delta, oldn[name] "/" newn[name]
       if ((name == "BenchmarkRunAllParallel" || name == "BenchmarkServerWorkload") && delta > maxpct) fail = 1
     }
     if (check == 1 && fail) {
-      printf "FAIL: a gated benchmark regressed more than %s%%\n", maxpct
+      printf "FAIL: a gated benchmark median regressed more than %s%%\n", maxpct
       exit 3
     }
   }' "$prev" "$json" || rc=$?
