@@ -18,6 +18,7 @@ package mallocsim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"slices"
@@ -378,8 +379,11 @@ func (c *rowCounter) Block(b *trace.Block) { c.rows += b.Len() }
 // one server pair (server/bsd) at the golden scale, seed 1, per op,
 // each on a fresh Memory and allocator, batched into a rowCounter: the
 // workload stage of the layer ladder, with the allocator and mem emit
-// it cannot run without. ns/ref divides by the references the run
-// emits, counted once outside the timer.
+// it cannot run without. The bundle case runs gs once for the five
+// paper allocators as one bundle (workload.RunBundle), each lane into
+// its own rowCounter, as paper.Runner.Prefetch does. ns/ref divides by
+// the references every lane emits, counted once outside the timer, so
+// bundle against program is the synthesis a bundle shares.
 func BenchmarkWorkloadSynthesis(b *testing.B) {
 	prog, ok := workload.ByName("gs")
 	if !ok {
@@ -390,43 +394,63 @@ func BenchmarkWorkloadSynthesis(b *testing.B) {
 		b.Fatal("unknown server scenario")
 	}
 	ctx := context.Background()
+	cfg := workload.Config{Program: prog, Scale: paper.GoldenScale, Seed: 1}
 	cases := []struct {
-		name, allocator string
-		drive           func(m *mem.Memory, a alloc.Allocator) error
+		name       string
+		allocators []string
+		drive      func(lanes []workload.Lane) error
 	}{
-		{"program", "firstfit", func(m *mem.Memory, a alloc.Allocator) error {
-			_, err := workload.RunContext(ctx, m, a, workload.Config{Program: prog, Scale: paper.GoldenScale, Seed: 1})
+		{"program", []string{"firstfit"}, func(lanes []workload.Lane) error {
+			_, err := workload.RunContext(ctx, lanes[0].Mem, lanes[0].Alloc, cfg)
 			return err
 		}},
-		{"server", "bsd", func(m *mem.Memory, a alloc.Allocator) error {
-			_, err := workload.RunServerContext(ctx, m, a, workload.ServerRunConfig{Scenario: scen, Scale: paper.GoldenScale, Seed: 1})
+		{"server", []string{"bsd"}, func(lanes []workload.Lane) error {
+			_, err := workload.RunServerContext(ctx, lanes[0].Mem, lanes[0].Alloc, workload.ServerRunConfig{Scenario: scen, Scale: paper.GoldenScale, Seed: 1})
 			return err
+		}},
+		{"bundle", paper.Allocators, func(lanes []workload.Lane) error {
+			_, errs := workload.RunBundle(ctx, lanes, cfg)
+			return errors.Join(errs...)
 		}},
 	}
 	for _, c := range cases {
-		run := func(sink trace.Sink) {
-			m := mem.New(sink, &cost.Meter{})
-			m.SetBatching(0)
-			a, err := alloc.New(c.allocator, m)
-			if err != nil {
+		run := func(sink func(lane int) trace.Sink) {
+			lanes := make([]workload.Lane, len(c.allocators))
+			for i, name := range c.allocators {
+				m := mem.New(sink(i), &cost.Meter{})
+				m.SetBatching(0)
+				a, err := alloc.New(name, m)
+				if err != nil {
+					b.Fatal(err)
+				}
+				lanes[i] = workload.Lane{Mem: m, Alloc: a}
+			}
+			if err := c.drive(lanes); err != nil {
 				b.Fatal(err)
 			}
-			if err := c.drive(m, a); err != nil {
-				b.Fatal(err)
+			for _, l := range lanes {
+				l.Mem.Flush()
 			}
-			m.Flush()
 		}
 		b.Run(c.name, func(b *testing.B) {
-			var counter trace.Counter
-			run(&counter)
-			b.ResetTimer()
-			var rows rowCounter
-			for i := 0; i < b.N; i++ {
-				rows = rowCounter{}
-				run(&rows)
+			counters := make([]trace.Counter, len(c.allocators))
+			run(func(i int) trace.Sink { return &counters[i] })
+			var refs uint64
+			for i := range counters {
+				refs += counters[i].Total()
 			}
-			nsPerRef(b, int(counter.Total()))
-			b.ReportMetric(float64(counter.Total())/float64(rows.rows), "refs/row")
+			b.ResetTimer()
+			var rows []rowCounter
+			for i := 0; i < b.N; i++ {
+				rows = make([]rowCounter, len(c.allocators))
+				run(func(i int) trace.Sink { return &rows[i] })
+			}
+			nsPerRef(b, int(refs))
+			var total int
+			for _, r := range rows {
+				total += r.rows
+			}
+			b.ReportMetric(float64(refs)/float64(total), "refs/row")
 		})
 	}
 }

@@ -60,9 +60,7 @@ func main() {
 	if !ok {
 		log.Fatalf("heapmap: unknown program %q", *progName)
 	}
-	exclude := func(name string) bool {
-		return name == prog.Name+"-stack" || name == prog.Name+"-globals"
-	}
+	exclude := func(name string) bool { return workload.AppRegion(prog.Name, name) }
 
 	for _, name := range strings.Split(*allocCSV, ",") {
 		name = strings.TrimSpace(name)

@@ -27,14 +27,18 @@ const goldenScale = 256
 func goldenDir() string { return filepath.Join("testdata", "golden") }
 
 // goldenTables renders every paper experiment to its versioned JSON
-// document using a worker pool of the given width.
+// document after prefetching the matrix through a worker pool of the
+// given width; workers 0 skips Prefetch, so every pair runs alone
+// through Result as the tables ask for it.
 func goldenTables(t *testing.T, workers int) map[string][]byte {
 	t.Helper()
 	ctx := context.Background()
 	r := NewRunner(goldenScale)
-	r.Workers = workers
-	if err := r.Prefetch(ctx, r.PaperPairs()); err != nil {
-		t.Fatalf("prefetch (workers=%d): %v", workers, err)
+	if workers > 0 {
+		r.Workers = workers
+		if err := r.Prefetch(ctx, r.PaperPairs()); err != nil {
+			t.Fatalf("prefetch (workers=%d): %v", workers, err)
+		}
 	}
 	out := make(map[string][]byte, len(r.Experiments()))
 	for _, e := range r.Experiments() {
@@ -89,18 +93,21 @@ func TestGoldenFigures(t *testing.T) {
 	}
 }
 
-// TestGoldenWorkerInvariance reruns the battery sequentially and
-// requires byte-identical documents: the worker pool must never leak
-// scheduling order into results.
+// TestGoldenWorkerInvariance reruns the battery at other pool widths —
+// which deal each program's allocators into other bundles — and through
+// lone Result calls, and requires byte-identical documents: neither
+// scheduling order nor bundle composition may leak into results.
 func TestGoldenWorkerInvariance(t *testing.T) {
 	if testing.Short() {
-		t.Skip("golden battery runs the full paper matrix twice")
+		t.Skip("golden battery runs the full paper matrix four times")
 	}
 	parallel := goldenTables(t, 8)
-	sequential := goldenTables(t, 1)
-	for id, want := range parallel {
-		if !bytes.Equal(sequential[id], want) {
-			t.Errorf("%s: workers=1 and workers=8 produced different documents", id)
+	for _, workers := range []int{1, 2, 0} {
+		other := goldenTables(t, workers)
+		for id, want := range parallel {
+			if !bytes.Equal(other[id], want) {
+				t.Errorf("%s: workers=%d (0 = lone Result calls) and workers=8 produced different documents", id, workers)
+			}
 		}
 	}
 }

@@ -3,7 +3,11 @@ package paper
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"mallocsim/internal/sim"
 )
 
 // detIDs is a fast cross-section of the matrix: a baseline table, a
@@ -77,6 +81,67 @@ func TestPrefetchSharedKey(t *testing.T) {
 	}
 	if got := len(r.sortedMemoKeys()); got != 2 {
 		t.Errorf("memo holds %d keys, want 2: %v", got, r.sortedMemoKeys())
+	}
+}
+
+// TestResultJoinsRunningBundle: Result calls for pairs inside a running
+// bundle, duplicates included, wait for the bundle instead of
+// simulating again — every caller gets the bundle's pointer and the
+// memo holds one entry per pair. Run under -race in CI.
+func TestResultJoinsRunningBundle(t *testing.T) {
+	ctx := context.Background()
+	r := NewRunner(128)
+	r.Workers = 1 // one bundle for the program
+	const prog = "espresso"
+	var pairs []Pair
+	for _, a := range Allocators {
+		pairs = append(pairs, Pair{prog, a})
+	}
+	prefetched := make(chan error, 1)
+	go func() { prefetched <- r.Prefetch(ctx, append(pairs, pairs[0], pairs[3])) }()
+
+	// The bundle registers all its pairs in flight before it starts.
+	for inFlight := 0; inFlight < len(pairs); {
+		select {
+		case err := <-prefetched:
+			t.Fatalf("the bundle finished (err %v) before its pairs were seen in flight", err)
+		case <-time.After(time.Millisecond):
+		}
+		r.mu.Lock()
+		inFlight = len(r.inflight)
+		r.mu.Unlock()
+	}
+	const callers = 3 // per pair
+	got := make([]*sim.Result, callers*len(pairs))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p := pairs[i%len(pairs)]
+			res, err := r.Result(ctx, p.Program, p.Allocator)
+			if err != nil {
+				t.Errorf("%s/%s: %v", p.Program, p.Allocator, err)
+			}
+			got[i] = res
+		}()
+	}
+	wg.Wait()
+	if err := <-prefetched; err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range got {
+		p := pairs[i%len(pairs)]
+		want, err := r.Result(ctx, p.Program, p.Allocator)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res != want {
+			t.Errorf("caller %d for %s/%s got a result other than the memoized one", i, p.Program, p.Allocator)
+		}
+	}
+	if keys := r.sortedMemoKeys(); len(keys) != len(pairs) {
+		t.Errorf("memo holds %d keys, want %d: %v", len(keys), len(pairs), keys)
 	}
 }
 

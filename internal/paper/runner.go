@@ -56,9 +56,12 @@ type Runner struct {
 	Seed    uint64
 	Penalty uint64
 
-	// Workers bounds the worker pool used by Prefetch and RunAll.
-	// 0 means GOMAXPROCS; 1 recovers the fully sequential path. The
-	// results are byte-identical either way — only wall-clock changes.
+	// Workers bounds the worker pool used by Prefetch and RunAll, and
+	// with it how Prefetch bundles allocators: each program's
+	// allocators are dealt into at most Workers bundles. 0 means
+	// GOMAXPROCS; 1 runs one bundle per program, sequentially. The
+	// results are byte-identical at every width and bundle size — only
+	// wall-clock and memory change.
 	Workers int
 
 	// CheckHeap runs every simulation under the shadow heap auditor
@@ -143,16 +146,26 @@ func (r *Runner) Result(ctx context.Context, progName, allocName string) (*sim.R
 	return f.res, f.err
 }
 
-// runPair executes one fully-instrumented simulation. progName may name
-// either a sequential program (workload.ByName) or a concurrent server
-// scenario (workload.ServerByName); the two catalogs share a namespace.
+// runPair executes one fully-instrumented simulation.
 func (r *Runner) runPair(ctx context.Context, progName, allocName string) (*sim.Result, error) {
+	cfg, err := r.pairConfig(progName)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Allocator = allocName
+	return sim.RunContext(ctx, cfg)
+}
+
+// pairConfig returns the simulation every pair of progName runs, less
+// its allocator. progName may name either a sequential program
+// (workload.ByName) or a concurrent server scenario
+// (workload.ServerByName); the two catalogs share a namespace.
+func (r *Runner) pairConfig(progName string) (sim.Config, error) {
 	cfgs := make([]cache.Config, len(CacheSizes))
 	for i, s := range CacheSizes {
 		cfgs[i] = cache.Config{Size: s}
 	}
 	cfg := sim.Config{
-		Allocator: allocName,
 		Scale:     r.Scale,
 		Seed:      r.Seed,
 		Caches:    cfgs,
@@ -160,15 +173,15 @@ func (r *Runner) runPair(ctx context.Context, progName, allocName string) (*sim.
 	}
 	if srv, ok := workload.ServerByName(progName); ok {
 		cfg.Server = &srv
-	} else {
-		prog, ok := workload.ByName(progName)
-		if !ok {
-			return nil, fmt.Errorf("paper: unknown program %q", progName)
-		}
-		cfg.Program = prog
-		cfg.PageSim = pageSimPrograms[progName]
+		return cfg, nil
 	}
-	return sim.RunContext(ctx, cfg)
+	prog, ok := workload.ByName(progName)
+	if !ok {
+		return cfg, fmt.Errorf("paper: unknown program %q", progName)
+	}
+	cfg.Program = prog
+	cfg.PageSim = pageSimPrograms[progName]
+	return cfg, nil
 }
 
 // ShadowSnapshots returns the heap-auditor verdicts of every memoized
@@ -197,54 +210,174 @@ type Pair struct {
 
 // Prefetch runs the given pairs through a bounded worker pool (Workers
 // goroutines), populating the memo so that subsequent table assembly is
-// pure lookup. Already-memoized pairs cost nothing. It returns the
-// first error encountered after all workers drain; every run is
-// hermetic, so results are byte-identical to executing the pairs
-// sequentially. A done ctx makes the remaining pairs fail fast (each
-// worker's Result call returns the context error immediately), so a
-// cancelled prefetch drains its pool within one simulation's
-// cancellation latency.
+// pure lookup. Already-memoized pairs cost nothing, and duplicates run
+// once. Pairs of one catalog program run as bundles (sim.RunBundle):
+// the program's allocators are dealt into min(Workers, N) bundles of
+// near-equal size, and each bundle synthesizes the program once for
+// all of its allocators. Server-scenario pairs, whose sharing sinks
+// make a bundle's lanes costly to hold at once, and programs with one
+// pair left run alone through Result. Every bundled pair is registered
+// in flight before its bundle starts, so a concurrent Result for it
+// waits instead of simulating again.
+//
+// Prefetch returns the first error in plan order (programs by first
+// use) after all workers drain; failed pairs are not memoized. Every
+// lane is hermetic, so results are byte-identical to executing the
+// pairs one by one through Result. A done ctx makes the remaining pairs
+// fail fast, so a cancelled prefetch drains its pool within one
+// simulation's cancellation latency.
 func (r *Runner) Prefetch(ctx context.Context, pairs []Pair) error {
+	jobs := r.plan(pairs)
+	errs := make([]error, len(jobs))
 	workers := r.workerCount()
-	if workers > len(pairs) {
-		workers = len(pairs)
+	if workers > len(jobs) {
+		workers = len(jobs)
 	}
-	if workers <= 1 {
-		for _, p := range pairs {
-			if _, err := r.Result(ctx, p.Program, p.Allocator); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	work := make(chan Pair)
-	errs := make(chan error, workers)
+	work := make(chan int)
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var first error
-			for p := range work {
-				if _, err := r.Result(ctx, p.Program, p.Allocator); err != nil && first == nil {
-					first = err
-				}
+			for i := range work {
+				errs[i] = r.runJob(ctx, jobs[i])
 			}
-			errs <- first
 		}()
 	}
-	for _, p := range pairs {
-		work <- p
+	for i := range jobs {
+		work <- i
 	}
 	close(work)
 	wg.Wait()
-	close(errs)
-	for err := range errs {
+	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// job is one unit of Prefetch's pool: a lone pair, or a bundle of one
+// program's allocators with the simulation they share (bundle set).
+type job struct {
+	program string
+	allocs  []string
+	bundle  *sim.Config
+}
+
+// plan deduplicates pairs, drops the memoized ones and groups the rest
+// into jobs, in first-use order: catalog programs into bundles dealt
+// over the worker count, everything else into lone pairs.
+func (r *Runner) plan(pairs []Pair) []job {
+	type group struct {
+		program string
+		allocs  []string
+	}
+	var groups []*group
+	byProg := map[string]*group{}
+	seen := map[Pair]bool{}
+	r.mu.Lock()
+	for _, p := range pairs {
+		if seen[p] {
+			continue
+		}
+		seen[p] = true
+		if _, ok := r.memo[p.Program+"/"+p.Allocator]; ok {
+			continue
+		}
+		g := byProg[p.Program]
+		if g == nil {
+			g = &group{program: p.Program}
+			byProg[p.Program] = g
+			groups = append(groups, g)
+		}
+		g.allocs = append(g.allocs, p.Allocator)
+	}
+	r.mu.Unlock()
+
+	workers := r.workerCount()
+	var jobs []job
+	for _, g := range groups {
+		cfg, err := r.pairConfig(g.program)
+		if err != nil || cfg.Server != nil || len(g.allocs) == 1 {
+			for _, a := range g.allocs {
+				jobs = append(jobs, job{program: g.program, allocs: []string{a}})
+			}
+			continue
+		}
+		n := workers
+		if n > len(g.allocs) {
+			n = len(g.allocs)
+		}
+		bundles := make([]job, n)
+		for i, a := range g.allocs {
+			b := &bundles[i%n]
+			b.program, b.bundle = g.program, &cfg
+			b.allocs = append(b.allocs, a)
+		}
+		jobs = append(jobs, bundles...)
+	}
+	return jobs
+}
+
+// runJob runs one job and returns the first error among its pairs.
+func (r *Runner) runJob(ctx context.Context, j job) error {
+	if j.bundle == nil {
+		_, err := r.Result(ctx, j.program, j.allocs[0])
+		return err
+	}
+	return r.runBundle(ctx, j)
+}
+
+// runBundle simulates j's program once for every allocator of j not
+// already memoized or in flight, registering each as in flight first,
+// then waits for the pairs another caller is running.
+func (r *Runner) runBundle(ctx context.Context, j job) error {
+	progName := j.program
+	var mine, others []string
+	var flights []*flight
+	r.mu.Lock()
+	for _, a := range j.allocs {
+		key := progName + "/" + a
+		if _, ok := r.memo[key]; ok {
+			continue
+		}
+		if _, ok := r.inflight[key]; ok {
+			others = append(others, a)
+			continue
+		}
+		f := &flight{done: make(chan struct{})}
+		r.inflight[key] = f
+		mine = append(mine, a)
+		flights = append(flights, f)
+	}
+	r.mu.Unlock()
+
+	var first error
+	if len(mine) > 0 {
+		results, errs := sim.RunBundle(ctx, *j.bundle, mine)
+		r.mu.Lock()
+		for i, a := range mine {
+			key := progName + "/" + a
+			flights[i].res, flights[i].err = results[i], errs[i]
+			if errs[i] == nil {
+				r.memo[key] = results[i]
+			} else if first == nil {
+				first = errs[i]
+			}
+			delete(r.inflight, key)
+		}
+		r.mu.Unlock()
+		for _, f := range flights {
+			close(f.done)
+		}
+	}
+	for _, a := range others {
+		if _, err := r.Result(ctx, progName, a); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 func (r *Runner) note() string {

@@ -16,8 +16,8 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"strings"
 
 	"mallocsim/internal/alloc"
 	_ "mallocsim/internal/alloc/all" // register all allocator implementations
@@ -138,14 +138,40 @@ func Run(cfg Config) (*Result, error) {
 // the cache and VM reference sweeps it feeds — within a bounded amount
 // of work; the error then satisfies errors.Is for context.Canceled or
 // context.DeadlineExceeded via context.Cause. A run that completes is
-// byte-identical to one executed without a cancellable context.
+// byte-identical to one executed without a cancellable context. It is
+// RunBundle with one allocator, cfg.Allocator.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
+	res, errs := RunBundle(ctx, cfg, []string{cfg.Allocator})
+	return res[0], errs[0]
+}
+
+// RunBundle runs cfg once for each of the allocators, synthesizing the
+// workload once for all of them (see workload.RunBundle): each
+// allocator gets its own memory, sinks and wrappers, wired exactly as a
+// lone run wires them, and cfg.Allocator is ignored. It returns one
+// result and one error per allocator, in order, each equal to what
+// RunContext returns for that allocator alone: a lane whose allocator
+// fails stops with its own error while the others finish. A Recorder
+// or Attribution observes a single run, so a bundle of more than one
+// allocator rejects them.
+func RunBundle(ctx context.Context, cfg Config, allocators []string) ([]*Result, []error) {
 	progName := cfg.Program.Name
 	if cfg.Server != nil {
 		progName = cfg.Server.Name
 	}
+	results := make([]*Result, len(allocators))
+	errs := make([]error, len(allocators))
+	failAll := func(err error) ([]*Result, []error) {
+		for i, name := range allocators {
+			errs[i] = fmt.Errorf("sim %s/%s: %w", progName, name, err)
+		}
+		return results, errs
+	}
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("sim %s/%s: %w", progName, cfg.Allocator, context.Cause(ctx))
+		return failAll(context.Cause(ctx))
+	}
+	if len(allocators) > 1 && (cfg.Recorder != nil || cfg.Attribution) {
+		return failAll(errors.New("a Recorder or Attribution observes one run, not a bundle"))
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -154,31 +180,108 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		cfg.Scale = 1
 	}
 
-	meter := &cost.Meter{}
-	var counter trace.Counter
-	sinks := []trace.Sink{&counter}
-	var group *cache.Group
-	if len(cfg.Caches) > 0 {
-		group = cache.NewGroup(cfg.Caches...)
-		sinks = append(sinks, group)
+	pipes, lanes := newPipelines(cfg, allocators, errs)
+	var stats []workload.Stats
+	var werrs []error
+	if cfg.Server != nil {
+		stats, werrs = workload.RunServerBundle(ctx, lanes, workload.ServerRunConfig{
+			Scenario: *cfg.Server,
+			Scale:    cfg.Scale,
+			Seed:     cfg.Seed,
+		})
+	} else {
+		stats, werrs = workload.RunBundle(ctx, lanes, workload.Config{
+			Program: cfg.Program,
+			Scale:   cfg.Scale,
+			Seed:    cfg.Seed,
+		})
 	}
-	var pages *vm.StackSim
-	if cfg.PageSim {
-		pages = vm.NewStackSim()
-		sinks = append(sinks, pages)
+	for i, p := range pipes {
+		if werrs[i] != nil {
+			errs[p.lane] = fmt.Errorf("sim %s/%s: %w", progName, allocators[p.lane], werrs[i])
+			continue
+		}
+		p.m.Flush() // deliver the tail of the batched reference stream
 	}
 
-	m := mem.New(trace.NewTee(sinks...), meter)
+	// The runs completed; one final poll before the cache-result and
+	// VM-curve assembly sweeps so a deadline that fired during the last
+	// partial batch is still honoured.
+	cause := ctx.Err()
+	if cause != nil {
+		cause = context.Cause(ctx)
+	}
+	for i, p := range pipes {
+		switch {
+		case werrs[i] != nil:
+		case cause != nil:
+			errs[p.lane] = fmt.Errorf("sim %s/%s: %w", progName, allocators[p.lane], cause)
+		default:
+			results[p.lane] = p.result(cfg, progName, allocators[p.lane], stats[i])
+		}
+	}
+	return results, errs
+}
+
+// pipeline is one allocator's simulation: its memory, allocator and
+// every sink that observes them.
+type pipeline struct {
+	lane    int // index into the bundle's allocators
+	meter   *cost.Meter
+	counter trace.Counter
+	group   *cache.Group
+	pages   *vm.StackSim
+	sharing *cache.Sharing
+	sampler *obs.Sampler
+	attrib  *obs.Attribution
+	shw     *shadow.Allocator
+	m       *mem.Memory
+	a       alloc.Allocator
+}
+
+// newPipelines builds one pipeline per allocator and the workload lanes
+// that drive them. An allocator that cannot be constructed gets its
+// error in errs and no lane.
+func newPipelines(cfg Config, allocators []string, errs []error) ([]*pipeline, []workload.Lane) {
+	var pipes []*pipeline
+	var lanes []workload.Lane
+	for i, name := range allocators {
+		p, err := newPipeline(cfg, name)
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		p.lane = i
+		pipes = append(pipes, p)
+		lanes = append(lanes, workload.Lane{Mem: p.m, Alloc: p.a})
+	}
+	return pipes, lanes
+}
+
+// newPipeline wires one allocator's memory, sinks and wrappers.
+func newPipeline(cfg Config, allocName string) (*pipeline, error) {
+	p := &pipeline{meter: &cost.Meter{}}
+	sinks := []trace.Sink{&p.counter}
+	if len(cfg.Caches) > 0 {
+		p.group = cache.NewGroup(cfg.Caches...)
+		sinks = append(sinks, p.group)
+	}
+	if cfg.PageSim {
+		p.pages = vm.NewStackSim()
+		sinks = append(sinks, p.pages)
+	}
+
+	m := mem.New(trace.NewTee(sinks...), p.meter)
+	p.m = m
 
 	// Concurrent runs attach the sharing attributor, a sink of its own
 	// beside the cache group. Events are attributed to the index of the
 	// containing region (region 0 for an address in none), resolved to
 	// the region name at report assembly (regions only ever grow, so
 	// indices are stable).
-	var sharing *cache.Sharing
 	if cfg.Server != nil {
-		sharing = cache.NewSharing(cache.SharingConfig{RegionOf: m.RegionIndex})
-		sinks = append(sinks, sharing)
+		p.sharing = cache.NewSharing(cache.SharingConfig{RegionOf: m.RegionIndex})
+		sinks = append(sinks, p.sharing)
 		m.SetSink(trace.NewTee(sinks...))
 	}
 
@@ -186,25 +289,23 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	// byte-for-byte the seed configuration. The extra sinks are
 	// installed before the allocator is constructed so that even the
 	// allocator's initialization references are attributed.
-	var sampler *obs.Sampler
-	var attrib *obs.Attribution
 	if cfg.Recorder != nil || cfg.Attribution {
 		if cfg.Attribution {
-			attrib = obs.NewAttribution(m, meter)
-			sinks = append(sinks, attrib)
+			p.attrib = obs.NewAttribution(m, p.meter)
+			sinks = append(sinks, p.attrib)
 		}
 		if cfg.Recorder != nil {
 			cfg.Recorder.FootprintFn = m.Footprint
 			if cfg.SampleEvery > 0 {
-				sampler = &obs.Sampler{
+				p.sampler = &obs.Sampler{
 					Every: cfg.SampleEvery,
 					Mem:   m,
-					Meter: meter,
-					Group: group,
-					Pages: pages,
+					Meter: p.meter,
+					Group: p.group,
+					Pages: p.pages,
 				}
-				sampler.Bind(cfg.Recorder)
-				sinks = append(sinks, sampler)
+				p.sampler.Bind(cfg.Recorder)
+				sinks = append(sinks, p.sampler)
 			}
 		}
 		m.SetSink(trace.NewTee(sinks...))
@@ -221,91 +322,66 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	// synchronously.
 	m.SetBatching(0)
 
-	a, err := alloc.New(cfg.Allocator, m)
+	a, err := alloc.New(allocName, m)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Recorder != nil {
-		a = obs.Instrument(a, meter, cfg.Recorder)
+		a = obs.Instrument(a, p.meter, cfg.Recorder)
 	}
 	// The shadow auditor wraps outermost so obs.Instrument still sees the
 	// raw allocator (Scanner detection, latency attribution) while the
 	// oracle observes exactly the addresses and errors the workload does.
-	var shw *shadow.Allocator
 	if cfg.CheckHeap {
-		shw = shadow.Wrap(a, m, shadow.Options{AuditEvery: cfg.AuditEvery})
-		a = shw
+		p.shw = shadow.Wrap(a, m, shadow.Options{AuditEvery: cfg.AuditEvery})
+		a = p.shw
 	}
+	p.a = a
+	return p, nil
+}
 
-	var stats workload.Stats
-	if cfg.Server != nil {
-		stats, err = workload.RunServerContext(ctx, m, a, workload.ServerRunConfig{
-			Scenario: *cfg.Server,
-			Scale:    cfg.Scale,
-			Seed:     cfg.Seed,
-		})
-	} else {
-		stats, err = workload.RunContext(ctx, m, a, workload.Config{
-			Program: cfg.Program,
-			Scale:   cfg.Scale,
-			Seed:    cfg.Seed,
-		})
-	}
-	if err != nil {
-		return nil, fmt.Errorf("sim %s/%s: %w", progName, cfg.Allocator, err)
-	}
-	m.Flush() // deliver the tail of the batched reference stream
-
-	// The run completed; one final poll before the cache-result and
-	// VM-curve assembly sweeps so a deadline that fired during the last
-	// partial batch is still honoured.
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("sim %s/%s: %w", progName, cfg.Allocator, context.Cause(ctx))
-	}
-
+// result assembles the pipeline's Result once its run has completed.
+func (p *pipeline) result(cfg Config, progName, allocName string, stats workload.Stats) *Result {
 	res := &Result{
 		Program:        progName,
-		Allocator:      cfg.Allocator,
+		Allocator:      allocName,
 		Scale:          cfg.Scale,
 		Seed:           cfg.Seed,
 		Workload:       stats,
-		Instr:          meter.Snapshot(),
-		Refs:           counter,
-		TotalFootprint: m.Footprint(),
+		Instr:          p.meter.Snapshot(),
+		Refs:           p.counter,
+		TotalFootprint: p.m.Footprint(),
 	}
-	for _, r := range m.Regions() {
-		// The workload's own segments — "<prog>-stack" (plus the server
-		// driver's per-thread "<prog>-stackN") and "<prog>-globals" —
-		// belong to the application, not the allocator.
-		name := r.Name()
-		if name == progName+"-globals" || strings.HasPrefix(name, progName+"-stack") {
-			continue
+	for _, r := range p.m.Regions() {
+		// The workload's own segments belong to the application, not
+		// the allocator.
+		if !workload.AppRegion(progName, r.Name()) {
+			res.Footprint += r.Size()
 		}
-		res.Footprint += r.Size()
 	}
-	if group != nil {
-		res.Caches = group.Results()
+	if p.group != nil {
+		res.Caches = p.group.Results()
 	}
-	if pages != nil {
-		res.Curve = pages.Curve()
+	if p.pages != nil {
+		res.Curve = p.pages.Curve()
 	}
 	res.Recorder = cfg.Recorder
-	if sampler != nil {
-		res.Series = sampler.Points()
+	if p.sampler != nil {
+		res.Series = p.sampler.Points()
 	}
-	if attrib != nil {
-		res.Attribution = attrib.Rows()
+	if p.attrib != nil {
+		res.Attribution = p.attrib.Rows()
 	}
-	if shw != nil {
+	if p.shw != nil {
 		// One final full audit so end-of-run heap corruption is caught
 		// even when the op count never hit the periodic cadence.
-		shw.Audit()
-		res.Shadow = shw.Snapshot()
+		p.shw.Audit()
+		res.Shadow = p.shw.Snapshot()
 	}
-	if sharing != nil {
-		res.Sharing = sharingSummary(sharing.Report(), m.Regions(), cfg.Server.Threads)
+	if p.sharing != nil {
+		res.Sharing = sharingSummary(p.sharing.Report(), p.m.Regions(), cfg.Server.Threads)
 	}
-	return res, nil
+	return res
 }
 
 // sharingSummary resolves the attributor's region indices to region

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"context"
+	"strings"
 
 	"mallocsim/internal/alloc"
 	"mallocsim/internal/cost"
@@ -49,7 +50,7 @@ const (
 const cancelCheckEvery = 1024
 
 type object struct {
-	addr uint64
+	slot uint32 // its address in every lane's slot table; reused after free
 	size uint32
 	idx  int // position in the live slice
 	dead bool
@@ -127,11 +128,11 @@ func newSizeDist(sw []SizeWeight, siteBase uint32) sizeDist {
 // heap objects it touched last. The program driver runs one thread;
 // the server driver runs one per worker.
 type thread struct {
-	id        uint8
-	stackBase uint64
-	sp        uint64
-	window    [windowSize]*object
-	wpos      int
+	id     uint8
+	slot   uint32 // its stack's base in every lane's slot table
+	sp     uint64
+	window [windowSize]*object
+	wpos   int
 }
 
 // promote makes o the thread's most recently used object.
@@ -140,11 +141,89 @@ func (th *thread) promote(o *object) {
 	th.wpos = (th.wpos + 1) % windowSize
 }
 
+// Lane is one member of a bundle: an allocator on its own memory. The
+// allocator must already be constructed on Mem; Mem's sink and meter
+// receive the lane's references and instructions.
+type Lane struct {
+	Mem   *mem.Memory
+	Alloc alloc.Allocator
+}
+
+// lane is a Lane's replay state: everything that depends on the
+// addresses its allocator returned.
+type lane struct {
+	m      *mem.Memory
+	a      alloc.Allocator
+	hinter alloc.LocalityHinter // non-nil only when a exploits hints
+	site   alloc.SiteAllocator  // non-nil when a takes call sites but no hints
+	meter  *cost.Meter
+
+	// slots holds the lane's address for every slot: each thread's
+	// stack base, the global segment's base and every live object.
+	slots   []uint64
+	nonHeap []*mem.Region // stacks + globals, excluded from heap samples
+	samples []Sample
+
+	// err is non-nil once the lane has stopped; stats are the shared
+	// statistics at that moment.
+	err   error
+	stats Stats
+}
+
+// malloc allocates size bytes inside the Malloc cost domain, through
+// the richest entry point the allocator has: the locality hint for
+// hint-aware allocators, else the call site for site-aware ones, else
+// plain Malloc.
+func (l *lane) malloc(size, site, hint uint32) (uint64, error) {
+	prev := l.meter.Enter(cost.Malloc)
+	l.meter.Charge(alloc.CallOverhead)
+	var addr uint64
+	var err error
+	switch {
+	case l.hinter != nil:
+		addr, err = l.hinter.MallocLocal(size, hint)
+	case l.site != nil:
+		addr, err = l.site.MallocSite(size, site)
+	default:
+		addr, err = l.a.Malloc(size)
+	}
+	l.meter.Enter(prev)
+	return addr, err
+}
+
+// free returns addr to the allocator inside the Free cost domain.
+func (l *lane) free(addr uint64) error {
+	prev := l.meter.Enter(cost.Free)
+	l.meter.Charge(alloc.CallOverhead)
+	err := l.a.Free(addr)
+	l.meter.Enter(prev)
+	return err
+}
+
+// place records slot s's address. Every running lane sees every new
+// slot, so a fresh one is always the next: the table grows to the
+// stacks, the globals and the peak live count, and no further.
+func (l *lane) place(s uint32, addr uint64) {
+	if int(s) < len(l.slots) {
+		l.slots[s] = addr
+		return
+	}
+	l.slots = append(l.slots, addr)
+}
+
 // app is the application model both drivers share; only the schedule —
 // when to allocate and free, and on which thread — is theirs. It owns
 // the allocator call path, the live set, the global segment with its
 // Zipf-hot words, the reference budget, the amortized cancellation poll
 // of the free drains, and the run's Stats.
+//
+// One app drives a bundle of lanes. Every draw, schedule decision and
+// live-set update happens once; each allocator call and each reference
+// is then applied to every running lane, at that lane's addresses. No
+// decision reads an address an allocator returned, so every lane sees
+// exactly the stream its lone run sees. A lane whose allocator call
+// fails stops alone, with the error its lone run returns; the others
+// carry on unchanged.
 //
 // The draws are the contract that keeps every stream reproducible:
 //   - newApp splits the root generator into size, life and ref streams,
@@ -157,10 +236,12 @@ func (th *thread) promote(o *object) {
 //     promotes each new object as it is allocated, the server promotes
 //     a request object when it arrives and never promotes a session.
 type app struct {
-	m      *mem.Memory
-	a      alloc.Allocator
-	hinter alloc.LocalityHinter // non-nil only when a exploits hints
-	meter  *cost.Meter
+	lanes   []*lane // every lane, in bundle order
+	running []*lane // the lanes not yet stopped, in bundle order
+	// where wraps a failed allocator call's error with the driver's
+	// current position ("workload gs step 12: …"), as the lone run's
+	// return path does.
+	where func(error) error
 
 	sizeRng *rng.Rand
 	lifeRng *rng.Rand
@@ -175,8 +256,10 @@ type app struct {
 
 	live      []*object
 	liveBytes uint64
-	globalHot []uint64
-	nonHeap   []*mem.Region // stacks + globals, excluded from heap samples
+	freed     []uint32 // slots of freed objects, for reuse
+	nextSlot  uint32
+	globals   uint32   // the global segment's slot
+	globalHot []uint64 // offsets of the hot words in the global segment
 
 	refsAcc  float64 // reference budget accumulator
 	refsStep uint64  // references made this step
@@ -185,22 +268,30 @@ type app struct {
 	stats Stats
 }
 
-// newApp starts the application named name against allocator a on
-// memory m and returns it with the root generator, seeded from seed and
-// the name.
-func newApp(m *mem.Memory, a alloc.Allocator, name string, seed uint64, stackFrac, globalFrac float64) (*app, *rng.Rand) {
-	ap := &app{m: m, a: a, meter: m.Meter(), stackFrac: stackFrac, globalFrac: globalFrac}
-	if ap.meter == nil {
-		ap.meter = &cost.Meter{}
+// newApp starts the application named name on every lane and returns
+// it with the root generator, seeded from seed and the name.
+func newApp(lanes []Lane, name string, seed uint64, stackFrac, globalFrac float64) (*app, *rng.Rand) {
+	ap := &app{stackFrac: stackFrac, globalFrac: globalFrac, where: func(err error) error { return err }}
+	for _, ln := range lanes {
+		l := &lane{m: ln.Mem, a: ln.Alloc, meter: ln.Mem.Meter()}
+		if l.meter == nil {
+			l.meter = &cost.Meter{}
+		}
+		// Locality hints flow only to allocators that natively exploit
+		// them. alloc.HintAware sees through instrumentation wrappers
+		// (which implement MallocLocal unconditionally as a transparent
+		// fallback): without the probe, a wrapped site-aware allocator
+		// would be routed down the hint path and lose its site
+		// information.
+		if alloc.HintAware(l.a) {
+			l.hinter, _ = l.a.(alloc.LocalityHinter)
+		}
+		if l.hinter == nil {
+			l.site, _ = l.a.(alloc.SiteAllocator)
+		}
+		ap.lanes = append(ap.lanes, l)
 	}
-	// Locality hints flow only to allocators that natively exploit them.
-	// alloc.HintAware sees through instrumentation wrappers (which
-	// implement MallocLocal unconditionally as a transparent fallback):
-	// without the probe, a wrapped site-aware allocator would be routed
-	// down the hint path and lose its site information.
-	if alloc.HintAware(a) {
-		ap.hinter, _ = a.(alloc.LocalityHinter)
-	}
+	ap.running = append([]*lane(nil), ap.lanes...)
 	root := rng.New(seed ^ hashName(name))
 	ap.sizeRng = root.Split()
 	ap.lifeRng = root.Split()
@@ -220,72 +311,149 @@ func hashName(s string) uint64 {
 	return h
 }
 
-// newThread creates a thread with its own stack segment, a small,
-// intensely hot region named name.
-func (ap *app) newThread(name string, id uint8) (thread, error) {
-	stack := ap.m.NewRegion(name, 64*1024)
-	sb, err := stack.Sbrk(8 * 1024)
-	if err != nil {
-		return thread{}, err
-	}
-	ap.nonHeap = append(ap.nonHeap, stack)
-	return thread{id: id, stackBase: sb, sp: 1024}, nil
+// AppRegion reports whether the region named region is one of the
+// segments the application named app creates for itself — its stack
+// "<app>-stack", a server thread's "<app>-stackN", or its globals
+// "<app>-globals" — rather than allocator heap. Heap footprints leave
+// these out.
+func AppRegion(app, region string) bool {
+	return region == app+"-globals" || strings.HasPrefix(region, app+"-stack")
 }
 
-// newGlobals creates the global segment and draws its 64 hot words.
-func (ap *app) newGlobals(size uint64) error {
-	globals := ap.m.NewRegion(ap.stats.Program+"-globals", 0)
-	gb, err := globals.Sbrk(size)
-	if err != nil {
-		return err
+// apply calls f on every running lane and stops each lane f fails on.
+func (ap *app) apply(f func(l *lane) error) {
+	for i := 0; i < len(ap.running); {
+		if err := f(ap.running[i]); err != nil {
+			ap.stop(i, err)
+			continue
+		}
+		i++
 	}
-	ap.nonHeap = append(ap.nonHeap, globals)
+}
+
+// stop ends running lane i with err, wrapped with the driver's
+// position. The lane keeps the statistics of that moment and takes no
+// further part in the run.
+func (ap *app) stop(i int, err error) {
+	l := ap.running[i]
+	l.err = ap.where(err)
+	l.stats = ap.snapshot(l)
+	ap.running = append(ap.running[:i], ap.running[i+1:]...)
+}
+
+// done reports whether every lane has stopped, so the driver can quit.
+func (ap *app) done() bool { return len(ap.running) == 0 }
+
+// snapshot returns the shared statistics with l's own samples.
+func (ap *app) snapshot(l *lane) Stats {
+	s := ap.stats
+	s.Samples = l.samples
+	return s
+}
+
+// results returns every lane's statistics and error, in bundle order.
+// A non-nil err (a cancelled context, a bad configuration) ends every
+// lane still running; otherwise they get the exit statistics.
+func (ap *app) results(err error) ([]Stats, []error) {
+	if err == nil {
+		ap.stats.FinalLive = uint64(len(ap.live))
+		for _, o := range ap.live {
+			ap.stats.LiveBytes += uint64(o.size)
+		}
+	}
+	stats := make([]Stats, len(ap.lanes))
+	errs := make([]error, len(ap.lanes))
+	for i, l := range ap.lanes {
+		if l.err != nil {
+			stats[i], errs[i] = l.stats, l.err
+			continue
+		}
+		stats[i], errs[i] = ap.snapshot(l), err
+	}
+	return stats, errs
+}
+
+// newSlot returns a free slot, reusing a freed object's.
+func (ap *app) newSlot() uint32 {
+	if n := len(ap.freed); n > 0 {
+		s := ap.freed[n-1]
+		ap.freed = ap.freed[:n-1]
+		return s
+	}
+	ap.nextSlot++
+	return ap.nextSlot - 1
+}
+
+// newThread creates a thread with its own stack segment, a small,
+// intensely hot region named name, in every lane.
+func (ap *app) newThread(name string, id uint8) thread {
+	th := thread{id: id, slot: ap.newSlot(), sp: 1024}
+	ap.apply(func(l *lane) error {
+		stack := l.m.NewRegion(name, 64*1024)
+		sb, err := stack.Sbrk(8 * 1024)
+		if err != nil {
+			return err
+		}
+		l.nonHeap = append(l.nonHeap, stack)
+		l.place(th.slot, sb)
+		return nil
+	})
+	return th
+}
+
+// newGlobals creates the global segment in every lane and draws its 64
+// hot words.
+func (ap *app) newGlobals(size uint64) {
+	ap.globals = ap.newSlot()
+	ap.apply(func(l *lane) error {
+		globals := l.m.NewRegion(ap.stats.Program+"-globals", 0)
+		gb, err := globals.Sbrk(size)
+		if err != nil {
+			return err
+		}
+		l.nonHeap = append(l.nonHeap, globals)
+		l.place(ap.globals, gb)
+		return nil
+	})
 	ap.globalHot = make([]uint64, 64)
 	for i := range ap.globalHot {
-		ap.globalHot[i] = gb + mem.AlignUp(ap.refRng.Uint64n(size-4), mem.WordSize)
+		ap.globalHot[i] = mem.AlignUp(ap.refRng.Uint64n(size-4), mem.WordSize)
 	}
-	return nil
 }
 
-// malloc draws an object size from d and allocates it inside the Malloc
-// cost domain, through the richest entry point the allocator has: the
-// locality hint for hint-aware allocators, else the size's call site
-// for site-aware ones, else plain Malloc.
-func (ap *app) malloc(d sizeDist, hint uint32) (*object, error) {
+// setTid stamps the issuing thread on every running lane's references.
+func (ap *app) setTid(tid uint8) {
+	for _, l := range ap.running {
+		l.m.SetTid(tid)
+	}
+}
+
+// malloc draws an object size from d and allocates it in every running
+// lane; the entry in d doubles as the call site.
+func (ap *app) malloc(d sizeDist, hint uint32) *object {
 	idx := d.dist.Sample(ap.sizeRng)
 	size := d.sizes[idx]
-	prev := ap.meter.Enter(cost.Malloc)
-	ap.meter.Charge(alloc.CallOverhead)
-	var addr uint64
-	var err error
-	if ap.hinter != nil {
-		addr, err = ap.hinter.MallocLocal(size, hint)
-	} else if sa, ok := ap.a.(alloc.SiteAllocator); ok {
-		addr, err = sa.MallocSite(size, d.base+uint32(idx))
-	} else {
-		addr, err = ap.a.Malloc(size)
-	}
-	ap.meter.Enter(prev)
-	if err != nil {
-		return nil, err
-	}
+	site := d.base + uint32(idx)
+	slot := ap.newSlot()
+	ap.apply(func(l *lane) error {
+		addr, err := l.malloc(size, site, hint)
+		if err != nil {
+			return err
+		}
+		l.place(slot, addr)
+		return nil
+	})
 	ap.stats.Allocs++
 	ap.stats.ReqBytes += uint64(size)
 	ap.liveBytes += uint64(size)
-	o := &object{addr: addr, size: size, idx: len(ap.live)}
+	o := &object{slot: slot, size: size, idx: len(ap.live)}
 	ap.live = append(ap.live, o)
-	return o, nil
+	return o
 }
 
-// free returns o to the allocator inside the Free cost domain.
-func (ap *app) free(o *object) error {
-	prev := ap.meter.Enter(cost.Free)
-	ap.meter.Charge(alloc.CallOverhead)
-	err := ap.a.Free(o.addr)
-	ap.meter.Enter(prev)
-	if err != nil {
-		return err
-	}
+// free returns o to every running lane's allocator.
+func (ap *app) free(o *object) {
+	ap.apply(func(l *lane) error { return l.free(l.slots[o.slot]) })
 	ap.stats.Frees++
 	ap.liveBytes -= uint64(o.size)
 	o.dead = true
@@ -293,7 +461,7 @@ func (ap *app) free(o *object) error {
 	ap.live[o.idx] = ap.live[last]
 	ap.live[o.idx].idx = o.idx
 	ap.live = ap.live[:last]
-	return nil
+	ap.freed = append(ap.freed, o.slot)
 }
 
 // drainCanceled counts one free of a drain and reports whether ctx is
@@ -312,21 +480,48 @@ func (ap *app) freeDue(ctx context.Context, q *deathQueue, step uint64) error {
 		if ap.drainCanceled(ctx) {
 			return context.Cause(ctx)
 		}
-		if err := ap.free(q.pop().obj); err != nil {
-			return err
-		}
+		ap.free(q.pop().obj)
 	}
 	return nil
 }
 
-// finish fills in the exit statistics: the objects and payload bytes
-// still live.
-func (ap *app) finish() Stats {
-	ap.stats.FinalLive = uint64(len(ap.live))
-	for _, o := range ap.live {
-		ap.stats.LiveBytes += uint64(o.size)
+// sample appends one fragmentation sample to every running lane: the
+// live payload against the heap its allocator requested.
+func (ap *app) sample(step uint64) {
+	for _, l := range ap.running {
+		heap := l.m.Footprint()
+		for _, r := range l.nonHeap {
+			heap -= r.Size()
+		}
+		l.samples = append(l.samples, Sample{Step: step, LiveBytes: ap.liveBytes, HeapBytes: heap})
 	}
-	return ap.stats
+}
+
+// touch emits one n-byte reference at offset off from slot s's address
+// in every running lane. A lone lane takes one call with no loop state
+// to keep across it, so a lone run pays next to nothing for bundles.
+func (ap *app) touch(s uint32, off uint64, n uint32, k trace.Kind) {
+	if len(ap.running) == 1 {
+		l := ap.running[0]
+		l.m.Touch(l.slots[s]+off, n, k)
+		return
+	}
+	for _, l := range ap.running {
+		l.m.Touch(l.slots[s]+off, n, k)
+	}
+}
+
+// touchRun emits words word references from offset off from slot s's
+// address in every running lane, with touch's lone-lane path.
+func (ap *app) touchRun(s uint32, off, words uint64, k trace.Kind) {
+	if len(ap.running) == 1 {
+		l := ap.running[0]
+		l.m.TouchRun(l.slots[s]+off, words, k)
+		return
+	}
+	for _, l := range ap.running {
+		l.m.TouchRun(l.slots[s]+off, words, k)
+	}
 }
 
 // initObject writes every word of the fresh object, as real programs
@@ -336,11 +531,11 @@ func (ap *app) finish() Stats {
 func (ap *app) initObject(o *object) {
 	words := uint64(o.size) / mem.WordSize
 	if words == 0 {
-		ap.m.Touch(o.addr, o.size, trace.Write)
+		ap.touch(o.slot, 0, o.size, trace.Write)
 		ap.refsStep++
 		return
 	}
-	ap.m.TouchRun(o.addr, words, trace.Write)
+	ap.touchRun(o.slot, 0, words, trace.Write)
 	ap.refsStep += words
 }
 
@@ -352,7 +547,9 @@ func (ap *app) spend(th *thread, refs, instr float64) {
 	ap.refsAcc += refs - float64(ap.refsStep)
 	ap.emitRefs(th)
 	if extra := instr - float64(ap.refsStep); extra > 1 {
-		ap.meter.ChargeTo(cost.App, uint64(extra))
+		for _, l := range ap.running {
+			l.meter.ChargeTo(cost.App, uint64(extra))
+		}
 	}
 }
 
@@ -390,12 +587,12 @@ func (ap *app) stackRef(th *thread) {
 		sp = 1984
 	}
 	th.sp = uint64(sp)
-	off := th.sp - ap.refRng.Uint64n(16)*mem.WordSize
+	off := mem.AlignUp(th.sp-ap.refRng.Uint64n(16)*mem.WordSize, mem.WordSize)
 	kind := trace.Read
 	if ap.refRng.Bool(0.45) {
 		kind = trace.Write
 	}
-	ap.m.Touch(th.stackBase+mem.AlignUp(off, mem.WordSize), mem.WordSize, kind)
+	ap.touch(th.slot, off, mem.WordSize, kind)
 }
 
 // globalRef touches a Zipf-hot global word. The words are shared by
@@ -403,12 +600,12 @@ func (ap *app) stackRef(th *thread) {
 // ping-pong identically for every allocator — the allocator-independent
 // true-sharing floor.
 func (ap *app) globalRef() {
-	addr := ap.globalHot[ap.globalZipf.Sample(ap.refRng)]
+	off := ap.globalHot[ap.globalZipf.Sample(ap.refRng)]
 	kind := trace.Read
 	if ap.refRng.Bool(0.2) {
 		kind = trace.Write
 	}
-	ap.m.Touch(addr, mem.WordSize, kind)
+	ap.touch(ap.globals, off, mem.WordSize, kind)
 }
 
 // heapRun references a short sequential run of words inside one live
@@ -424,7 +621,7 @@ func (ap *app) heapRun(th *thread) uint64 {
 	}
 	words := uint64(o.size) / mem.WordSize
 	if words == 0 {
-		ap.m.Touch(o.addr, o.size, trace.Read)
+		ap.touch(o.slot, 0, o.size, trace.Read)
 		return 1
 	}
 	start := ap.refRng.Uint64n(words)
@@ -436,7 +633,7 @@ func (ap *app) heapRun(th *thread) uint64 {
 	if ap.refRng.Bool(writeProb) {
 		kind = trace.Write
 	}
-	ap.m.TouchRun(o.addr+start*mem.WordSize, run, kind)
+	ap.touchRun(o.slot, start*mem.WordSize, run, kind)
 	th.promote(o)
 	return run
 }

@@ -60,22 +60,40 @@ func Run(m *mem.Memory, a alloc.Allocator, cfg Config) (Stats, error) {
 // cancelCheckEvery frees, and returns early with context.Cause(ctx)
 // wrapped in the error when the context is done. Cancellation does not
 // perturb determinism — a run that completes produces byte-identical
-// results whether or not ctx is cancellable.
+// results whether or not ctx is cancellable. It is RunBundle with one
+// lane.
 func RunContext(ctx context.Context, m *mem.Memory, a alloc.Allocator, cfg Config) (Stats, error) {
+	stats, errs := RunBundle(ctx, []Lane{{Mem: m, Alloc: a}}, cfg)
+	return stats[0], errs[0]
+}
+
+// RunBundle drives the program once for a bundle of lanes: the program
+// is synthesized once and every allocator call and reference is applied
+// to each lane, so each lane's memory sees exactly the stream RunContext
+// gives it alone. It returns each lane's Stats and error in lane order.
+// A lane whose allocator fails stops alone with its lone run's error; a
+// done context stops every lane with RunContext's error. On error a
+// lane's Stats are the partial statistics of the moment it stopped.
+func RunBundle(ctx context.Context, lanes []Lane, cfg Config) ([]Stats, []error) {
 	if cfg.Scale == 0 {
 		cfg.Scale = 1
 	}
 	p := cfg.Program
-	ap, _ := newApp(m, a, p.Name, cfg.Seed, p.StackFrac, p.GlobalFrac)
+	ap, _ := newApp(lanes, p.Name, cfg.Seed, p.StackFrac, p.GlobalFrac)
+	return ap.results(driveProgram(ctx, ap, cfg))
+}
+
+// driveProgram runs the program's schedule on ap. Its error ends every
+// lane still running.
+func driveProgram(ctx context.Context, ap *app, cfg Config) error {
+	p := cfg.Program
 	churn := newSizeDist(p.ChurnSizes, churnSiteBase)
 	immortals := newSizeDist(p.ImmortalSizes, immortalSiteBase)
-	th, err := ap.newThread(p.Name+"-stack", 0)
-	if err != nil {
-		return Stats{}, err
-	}
+	th := ap.newThread(p.Name+"-stack", 0)
 	// Global segment with a Zipf-hot set of word addresses.
-	if err := ap.newGlobals(p.GlobalBytes); err != nil {
-		return Stats{}, err
+	ap.newGlobals(p.GlobalBytes)
+	if ap.done() {
+		return nil
 	}
 
 	nAllocs := p.Allocs / cfg.Scale
@@ -104,16 +122,18 @@ func RunContext(ctx context.Context, m *mem.Memory, a alloc.Allocator, cfg Confi
 	instrPerStep := p.InstrPerAlloc()
 
 	var deaths deathQueue
-	for step := uint64(0); step < nAllocs; step++ {
+	var step uint64
+	ap.where = func(err error) error { return fmt.Errorf("workload %s step %d: %w", p.Name, step, err) }
+	for ; step < nAllocs; step++ {
 		if step%cancelCheckEvery == 0 && ctx.Err() != nil {
-			return ap.stats, fmt.Errorf("workload %s: aborted at step %d/%d: %w",
+			return fmt.Errorf("workload %s: aborted at step %d/%d: %w",
 				p.Name, step, nAllocs, context.Cause(ctx))
 		}
 		// Deaths scheduled at or before this step happen first, so the
 		// allocator sees the recycling opportunity the paper's
 		// segregated-storage designs exploit.
 		if err := ap.freeDue(ctx, &deaths, step); err != nil {
-			return ap.stats, fmt.Errorf("workload %s step %d: %w", p.Name, step, err)
+			return ap.where(err)
 		}
 
 		immortal := false
@@ -132,9 +152,9 @@ func RunContext(ctx context.Context, m *mem.Memory, a alloc.Allocator, cfg Confi
 			immortal = true
 		}
 
-		obj, err := ap.malloc(sizes, uint32(step>>localityPhaseShift))
-		if err != nil {
-			return ap.stats, fmt.Errorf("workload %s step %d: %w", p.Name, step, err)
+		obj := ap.malloc(sizes, uint32(step>>localityPhaseShift))
+		if ap.done() {
+			return nil
 		}
 		th.promote(obj)
 		if !immortal {
@@ -158,14 +178,10 @@ func RunContext(ctx context.Context, m *mem.Memory, a alloc.Allocator, cfg Confi
 		ap.spend(&th, refsPerStep, instrPerStep)
 
 		if cfg.SampleEvery > 0 && step%cfg.SampleEvery == 0 {
-			heap := m.Footprint()
-			for _, r := range ap.nonHeap {
-				heap -= r.Size()
-			}
-			ap.stats.Samples = append(ap.stats.Samples, Sample{Step: step, LiveBytes: ap.liveBytes, HeapBytes: heap})
+			ap.sample(step)
 		}
 	}
-	return ap.finish(), nil
+	return nil
 }
 
 // Synthetic call-site identifiers: each size-distribution entry plays

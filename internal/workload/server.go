@@ -181,17 +181,31 @@ type serverDriver struct {
 // per-thread streams. The burst loop and every free-queue drain (local
 // death queues and the cross-thread inboxes) poll ctx on amortized
 // counters, so cancellation latency stays bounded without perturbing
-// completed runs.
+// completed runs. It is RunServerBundle with one lane.
 func RunServerContext(ctx context.Context, m *mem.Memory, a alloc.Allocator, cfg ServerRunConfig) (Stats, error) {
+	stats, errs := RunServerBundle(ctx, []Lane{{Mem: m, Alloc: a}}, cfg)
+	return stats[0], errs[0]
+}
+
+// RunServerBundle drives the server scenario once for a bundle of
+// lanes, as RunBundle drives a program.
+func RunServerBundle(ctx context.Context, lanes []Lane, cfg ServerRunConfig) ([]Stats, []error) {
 	scen := cfg.Scenario
-	if scen.Threads < 2 || scen.Threads > 63 {
-		return Stats{}, fmt.Errorf("workload: server scenario %q needs 2..63 threads, got %d", scen.Name, scen.Threads)
-	}
 	if cfg.Scale == 0 {
 		cfg.Scale = 1
 	}
-	ap, root := newApp(m, a, scen.Name, cfg.Seed, scen.StackFrac, scen.GlobalFrac)
+	ap, root := newApp(lanes, scen.Name, cfg.Seed, scen.StackFrac, scen.GlobalFrac)
+	if scen.Threads < 2 || scen.Threads > 63 {
+		return ap.results(fmt.Errorf("workload: server scenario %q needs 2..63 threads, got %d", scen.Name, scen.Threads))
+	}
 	d := &serverDriver{app: ap, scen: scen, routeRng: root.Split()}
+	return ap.results(d.run(ctx, cfg.Scale))
+}
+
+// run replays the scenario at the given scale. Its error ends every
+// lane still running.
+func (d *serverDriver) run(ctx context.Context, scale uint64) error {
+	scen := d.scen
 	d.reqSizes = newSizeDist(scen.ReqSizes, reqSiteBase)
 	d.sessionSizes = newSizeDist(scen.SessionSizes, sessionSiteBase)
 	d.sessionZipf = rng.NewZipf(scen.Sessions, 1.05)
@@ -202,35 +216,35 @@ func RunServerContext(ctx context.Context, m *mem.Memory, a alloc.Allocator, cfg
 	d.threads = make([]serverThread, scen.Threads)
 	for t := range d.threads {
 		if ctx.Err() != nil {
-			return d.stats, fmt.Errorf("server %s: aborted during setup: %w", scen.Name, context.Cause(ctx))
+			return fmt.Errorf("server %s: aborted during setup: %w", scen.Name, context.Cause(ctx))
 		}
-		th, err := d.newThread(fmt.Sprintf("%s-stack%d", scen.Name, t), uint8(t))
-		if err != nil {
-			return Stats{}, err
-		}
-		d.threads[t].thread = th
+		d.threads[t].thread = d.newThread(fmt.Sprintf("%s-stack%d", scen.Name, t), uint8(t))
 	}
-	if err := d.newGlobals(scen.GlobalBytes); err != nil {
-		return Stats{}, err
+	d.newGlobals(scen.GlobalBytes)
+	if d.done() {
+		return nil
 	}
 
-	nReqs := scen.Requests / cfg.Scale
+	nReqs := scen.Requests / scale
 	if nReqs == 0 {
 		nReqs = 1
 	}
 
 	// Prime the session table: long-lived state allocated round-robin,
 	// so initial ownership is spread across the threads.
+	var pos uint64 // the session, request or thread a failing lane names
+	d.where = func(err error) error { return fmt.Errorf("server %s: priming session %d: %w", scen.Name, pos, err) }
 	d.sessions = make([]serverSession, scen.Sessions)
 	for i := range d.sessions {
 		if i%cancelCheckEvery == 0 && ctx.Err() != nil {
-			return d.stats, fmt.Errorf("server %s: aborted priming sessions: %w", scen.Name, context.Cause(ctx))
+			return fmt.Errorf("server %s: aborted priming sessions: %w", scen.Name, context.Cause(ctx))
 		}
+		pos = uint64(i)
 		t := i % scen.Threads
-		m.SetTid(uint8(t))
-		obj, err := d.malloc(d.sessionSizes, uint32(t))
-		if err != nil {
-			return d.stats, fmt.Errorf("server %s: priming session %d: %w", scen.Name, i, err)
+		d.setTid(uint8(t))
+		obj := d.malloc(d.sessionSizes, uint32(t))
+		if d.done() {
+			return nil
 		}
 		d.initObject(obj)
 		d.sessions[i] = serverSession{obj: obj, dies: 1 + d.lifeRng.Geometric(scen.SessionLife)}
@@ -245,10 +259,11 @@ func RunServerContext(ctx context.Context, m *mem.Memory, a alloc.Allocator, cfg
 		burst     []int
 		burstObjs []*object
 	)
+	d.where = func(err error) error { return fmt.Errorf("server %s request %d: %w", scen.Name, pos, err) }
 	for req < nReqs {
 		bursts++
 		if bursts%cancelCheckEvery == 0 && ctx.Err() != nil {
-			return d.stats, fmt.Errorf("server %s: aborted at request %d/%d: %w",
+			return fmt.Errorf("server %s: aborted at request %d/%d: %w",
 				scen.Name, req, nReqs, context.Cause(ctx))
 		}
 		n := 1 + d.lifeRng.Geometric(scen.BurstMean)
@@ -265,61 +280,68 @@ func RunServerContext(ctx context.Context, m *mem.Memory, a alloc.Allocator, cfg
 
 		// Phase 1 — arrivals: every routed thread allocates and
 		// initializes its request state back to back, interleaving the
-		// threads' allocation streams at the allocator.
+		// threads' allocation streams at the allocator. A failed
+		// arrival names the burst's first request.
+		pos = req
 		burstObjs = burstObjs[:0]
 		for i, t := range burst {
 			if i%cancelCheckEvery == 0 && ctx.Err() != nil {
-				return d.stats, fmt.Errorf("server %s: aborted at request %d/%d: %w",
+				return fmt.Errorf("server %s: aborted at request %d/%d: %w",
 					scen.Name, req, nReqs, context.Cause(ctx))
 			}
-			obj, err := d.arrive(t)
-			if err != nil {
-				return d.stats, fmt.Errorf("server %s request %d: %w", scen.Name, req, err)
+			burstObjs = append(burstObjs, d.arrive(t))
+			if d.done() {
+				return nil
 			}
-			burstObjs = append(burstObjs, obj)
 		}
 		// Phase 2 — processing: drain queues, touch the session, spend
 		// the reference budget, then retire the request state.
 		for i, t := range burst {
-			if err := d.process(ctx, t, req+uint64(i), burstObjs[i], refsPerReq, instrPerReq); err != nil {
-				return d.stats, fmt.Errorf("server %s request %d: %w", scen.Name, req+uint64(i), err)
+			pos = req + uint64(i)
+			if err := d.process(ctx, t, pos, burstObjs[i], refsPerReq, instrPerReq); err != nil {
+				return d.where(err)
+			}
+			if d.done() {
+				return nil
 			}
 		}
 		req += n
 	}
 
 	// Retire every parked handoff so the cross-thread queues end empty.
+	d.where = func(err error) error {
+		return fmt.Errorf("server %s: draining thread %d inbox: %w", scen.Name, pos, err)
+	}
 	for t := range d.threads {
-		m.SetTid(d.threads[t].id)
+		pos = uint64(t)
+		d.setTid(d.threads[t].id)
 		if err := d.drainInbox(ctx, &d.threads[t]); err != nil {
-			return d.stats, fmt.Errorf("server %s: draining thread %d inbox: %w", scen.Name, t, err)
+			return d.where(err)
 		}
 	}
-	return d.finish(), nil
+	return nil
 }
 
 // arrive allocates, initializes and promotes one request object on
 // thread t.
-func (d *serverDriver) arrive(t int) (*object, error) {
-	d.m.SetTid(uint8(t))
-	obj, err := d.malloc(d.reqSizes, uint32(t))
-	if err != nil {
-		return nil, err
-	}
+func (d *serverDriver) arrive(t int) *object {
+	d.setTid(uint8(t))
+	obj := d.malloc(d.reqSizes, uint32(t))
 	d.refsStep = 0
 	d.initObject(obj)
 	// The init words count against the request's reference budget,
 	// which process() tops up.
 	d.refsAcc -= float64(d.refsStep)
 	d.threads[t].promote(obj)
-	return obj, nil
+	return obj
 }
 
 // process handles one request on thread t: drain the thread's free
 // queues, do the session work, spend the reference budget, and either
 // hand the request object to a consumer or schedule its local death.
+// Its error is a cancelled context.
 func (d *serverDriver) process(ctx context.Context, t int, reqIdx uint64, obj *object, refsPerReq, instrPerReq float64) error {
-	d.m.SetTid(uint8(t))
+	d.setTid(uint8(t))
 	th := &d.threads[t]
 	d.refsStep = 0
 
@@ -331,9 +353,7 @@ func (d *serverDriver) process(ctx context.Context, t int, reqIdx uint64, obj *o
 	if err := d.drainInbox(ctx, th); err != nil {
 		return err
 	}
-	if err := d.touchSession(th, reqIdx); err != nil {
-		return err
-	}
+	d.touchSession(th, reqIdx)
 	d.spend(&th.thread, refsPerReq, instrPerReq)
 
 	if d.routeRng.Bool(d.scen.HandoffFrac) {
@@ -360,18 +380,16 @@ func (d *serverDriver) drainInbox(ctx context.Context, th *serverThread) error {
 		th.inbox = th.inbox[:len(th.inbox)-1]
 		words := uint64(o.size) / mem.WordSize
 		if words == 0 {
-			d.m.Touch(o.addr, o.size, trace.Read)
+			d.touch(o.slot, 0, o.size, trace.Read)
 			d.refsStep++
 		} else {
 			if words > maxRunWords {
 				words = maxRunWords
 			}
-			d.m.TouchRun(o.addr, words, trace.Read)
+			d.touchRun(o.slot, 0, words, trace.Read)
 			d.refsStep += words
 		}
-		if err := d.free(o); err != nil {
-			return err
-		}
+		d.free(o)
 		d.stats.Handoffs++
 	}
 	return nil
@@ -381,17 +399,12 @@ func (d *serverDriver) drainInbox(ctx context.Context, th *serverThread) error {
 // session's header (words every handling thread reads — true sharing),
 // bump its counter word, and renew it when it has expired (freeing the
 // old state, often across threads, and becoming the new owner).
-func (d *serverDriver) touchSession(th *serverThread, reqIdx uint64) error {
+func (d *serverDriver) touchSession(th *serverThread, reqIdx uint64) {
 	i := d.sessionZipf.Sample(d.refRng)
 	s := &d.sessions[i]
 	if reqIdx >= s.dies {
-		if err := d.free(s.obj); err != nil {
-			return err
-		}
-		obj, err := d.malloc(d.sessionSizes, uint32(th.id))
-		if err != nil {
-			return err
-		}
+		d.free(s.obj)
+		obj := d.malloc(d.sessionSizes, uint32(th.id))
 		d.initObject(obj)
 		s.obj = obj
 		s.dies = reqIdx + 1 + d.lifeRng.Geometric(d.scen.SessionLife)
@@ -402,10 +415,9 @@ func (d *serverDriver) touchSession(th *serverThread, reqIdx uint64) error {
 		n = words
 	}
 	if n > 0 {
-		d.m.TouchRun(s.obj.addr, n, trace.Read)
+		d.touchRun(s.obj.slot, 0, n, trace.Read)
 		d.refsStep += n
 	}
-	d.m.Touch(s.obj.addr, mem.WordSize, trace.Write)
+	d.touch(s.obj.slot, 0, mem.WordSize, trace.Write)
 	d.refsStep++
-	return nil
 }

@@ -7,10 +7,12 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"hash"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mallocsim/internal/alloc"
@@ -93,33 +95,76 @@ type streamRun struct {
 	Stats  Stats  `json:"stats"`
 }
 
-// pinRun runs one driver into a batched row hasher and fingerprints it.
-func pinRun(t *testing.T, name, allocName string, drive func(*mem.Memory, alloc.Allocator) (Stats, error)) streamRun {
+// pinLane is one allocator on a batched memory whose sink hashes every
+// flushed row.
+type pinLane struct {
+	alloc string
+	h     *rowHasher
+	meter *cost.Meter
+	m     *mem.Memory
+	a     alloc.Allocator
+}
+
+// newPinLane builds a lane for allocName; a non-zero limit caps the
+// memory's unlimited regions (mem.Memory.DefaultRegionLimit).
+func newPinLane(t *testing.T, allocName string, limit uint64) *pinLane {
 	t.Helper()
-	h := newRowHasher()
-	meter := &cost.Meter{}
-	m := mem.New(h, meter)
-	m.SetBatching(0)
-	a, err := alloc.New(allocName, m)
+	l := &pinLane{alloc: allocName, h: newRowHasher(), meter: &cost.Meter{}}
+	l.m = mem.New(l.h, l.meter)
+	l.m.DefaultRegionLimit = limit
+	l.m.SetBatching(0)
+	a, err := alloc.New(allocName, l.m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := drive(m, a)
-	if err != nil {
-		t.Fatalf("%s/%s: %v", name, allocName, err)
-	}
-	m.Flush()
-	snap := meter.Snapshot()
+	l.a = a
+	return l
+}
+
+// pin flushes the lane and fingerprints its run of the named driver.
+func (l *pinLane) pin(name string, stats Stats) streamRun {
+	l.m.Flush()
+	snap := l.meter.Snapshot()
 	return streamRun{
-		Run:    name + "/" + allocName,
-		Rows:   h.rows,
-		Refs:   h.refs,
-		SHA256: hex.EncodeToString(h.h.Sum(nil)),
+		Run:    name + "/" + l.alloc,
+		Rows:   l.h.rows,
+		Refs:   l.h.refs,
+		SHA256: hex.EncodeToString(l.h.h.Sum(nil)),
 		App:    snap.App,
 		Malloc: snap.Malloc,
 		Free:   snap.Free,
 		Stats:  stats,
 	}
+}
+
+// pinRun runs one driver into a batched row hasher and fingerprints it.
+func pinRun(t *testing.T, name, allocName string, drive func(*mem.Memory, alloc.Allocator) (Stats, error)) streamRun {
+	t.Helper()
+	l := newPinLane(t, allocName, 0)
+	stats, err := drive(l.m, l.a)
+	if err != nil {
+		t.Fatalf("%s/%s: %v", name, allocName, err)
+	}
+	return l.pin(name, stats)
+}
+
+// pinBundle runs prog once as a bundle of the given lanes and returns
+// each lane's fingerprint and error.
+func pinBundle(prog Program, lanes []*pinLane) ([]streamRun, []error) {
+	in := make([]Lane, len(lanes))
+	for i, l := range lanes {
+		in[i] = Lane{Mem: l.m, Alloc: l.a}
+	}
+	stats, errs := RunBundle(context.Background(), in, streamConfig(prog))
+	out := make([]streamRun, len(lanes))
+	for i, l := range lanes {
+		out[i] = l.pin(prog.Name, stats[i])
+	}
+	return out, errs
+}
+
+func streamConfig(prog Program) Config {
+	return Config{Program: prog, Scale: streamScale, Seed: streamSeed, SampleEvery: streamSampleEvery}
 }
 
 // pinStreams runs every catalog program and the server scenario against
@@ -134,7 +179,7 @@ func pinStreams(t *testing.T) []streamRun {
 	for _, allocName := range alloc.Names() {
 		for _, p := range Programs() {
 			out = append(out, pinRun(t, p.Name, allocName, func(m *mem.Memory, a alloc.Allocator) (Stats, error) {
-				return Run(m, a, Config{Program: p, Scale: streamScale, Seed: streamSeed, SampleEvery: streamSampleEvery})
+				return Run(m, a, streamConfig(p))
 			}))
 		}
 		out = append(out, pinRun(t, scen.Name, allocName, func(m *mem.Memory, a alloc.Allocator) (Stats, error) {
@@ -171,6 +216,8 @@ func encodeStreams(t *testing.T, runs []streamRun) []byte {
 // testdata/streams.json. The two drivers must hand every allocator the
 // same application behaviour across refactors; any difference here is
 // a changed workload, even where the paper tables happen not to move.
+// The bundle pass runs each program once for all allocators at once
+// (RunBundle), and every lane must match its lone run's row.
 func TestDriverStreamsPinned(t *testing.T) {
 	got := pinStreams(t)
 	if *update {
@@ -198,11 +245,12 @@ func TestDriverStreamsPinned(t *testing.T) {
 	if len(got) != len(want) {
 		t.Errorf("%d runs, fixture has %d", len(got), len(want))
 	}
-	for _, g := range got {
+	check := func(t *testing.T, g streamRun) {
+		t.Helper()
 		w, ok := wantByRun[g.Run]
 		if !ok {
 			t.Errorf("%s: not in the fixture", g.Run)
-			continue
+			return
 		}
 		gb, _ := json.Marshal(g)
 		wb, _ := json.Marshal(w)
@@ -210,4 +258,68 @@ func TestDriverStreamsPinned(t *testing.T) {
 			t.Errorf("%s diverged:\n got  %s\n want %s", g.Run, gb, wb)
 		}
 	}
+	for _, g := range got {
+		check(t, g)
+	}
+
+	t.Run("bundle", func(t *testing.T) {
+		for _, p := range Programs() {
+			var lanes []*pinLane
+			for _, a := range alloc.Names() {
+				lanes = append(lanes, newPinLane(t, a, 0))
+			}
+			runs, errs := pinBundle(p, lanes)
+			for i, g := range runs {
+				if errs[i] != nil {
+					t.Errorf("%s: %v", g.Run, errs[i])
+					continue
+				}
+				check(t, g)
+			}
+		}
+	})
+
+	// A lane whose regions are capped at gawk's global segment runs out
+	// of heap mid-run. It
+	// must stop with exactly its lone run's error and stream, while
+	// every lane around it still matches the fixture.
+	t.Run("failing-lane", func(t *testing.T) {
+		const failing, limit = "firstfit", 25 << 10
+		prog, ok := ByName("gawk")
+		if !ok {
+			t.Fatal("no gawk program")
+		}
+		lone := newPinLane(t, failing, limit)
+		stats, loneErr := Run(lone.m, lone.a, streamConfig(prog))
+		if !errors.Is(loneErr, mem.ErrOutOfMemory) || !strings.HasPrefix(loneErr.Error(), "workload gawk step ") {
+			t.Fatalf("lone run with %d-byte regions: got %v, want an out-of-memory error mid-run", limit, loneErr)
+		}
+		wantFail := lone.pin(prog.Name, stats)
+
+		var lanes []*pinLane
+		for _, a := range alloc.Names() {
+			lanes = append(lanes, newPinLane(t, a, 0))
+		}
+		const at = 5 // lanes after the failing one must still match
+		lanes = append(lanes[:at], append([]*pinLane{newPinLane(t, failing, limit)}, lanes[at:]...)...)
+		runs, errs := pinBundle(prog, lanes)
+		for i, g := range runs {
+			if i == at {
+				if errs[i] == nil || errs[i].Error() != loneErr.Error() {
+					t.Errorf("failing lane: error %v, want the lone run's %v", errs[i], loneErr)
+				}
+				gb, _ := json.Marshal(g)
+				wb, _ := json.Marshal(wantFail)
+				if !bytes.Equal(gb, wb) {
+					t.Errorf("failing lane diverged from its lone run:\n got  %s\n want %s", gb, wb)
+				}
+				continue
+			}
+			if errs[i] != nil {
+				t.Errorf("%s: %v", g.Run, errs[i])
+				continue
+			}
+			check(t, g)
+		}
+	})
 }

@@ -20,22 +20,24 @@
 # After the run, the new snapshot is compared benchstat-style against
 # the most recent snapshot already in the baseline store: per
 # benchmark, the median ns/op of each side's samples, the delta between
-# the medians and the sample counts. With BENCH_CHECK=1 the script
-# exits 3 when the median of BenchmarkRunAllParallel or
-# BenchmarkServerWorkload regressed by more than BENCH_MAX_PCT percent
-# (default 10) against the baseline's median — the CI bench job's
-# regression gate. Those two run BENCH_COUNT times, because one run of
-# either moves by tens of percent with host noise alone; a baseline
-# holding a single sample counts as its own median. Every sample is
-# kept in the .txt and .json snapshots, so benchstat sees them all.
+# the medians and the sample counts. Every benchmark runs BENCH_COUNT
+# times, because one run of any of them moves by tens of percent with
+# host noise alone, so every row of the table compares medians; a
+# baseline holding a single sample counts as its own median. With
+# BENCH_CHECK=1 the script exits 3 when the median of
+# BenchmarkRunAllParallel or BenchmarkServerWorkload regressed by more
+# than BENCH_MAX_PCT percent (default 10) against the baseline's median
+# — the CI bench job's regression gate; the other rows are reported,
+# not gated. Every sample is kept in the .txt and .json snapshots, so
+# benchstat sees them all.
 #
 # Environment:
 #   MALLOCSIM_BENCH_SCALE  experiment scale divisor (default 128; the
 #                          full-matrix RunAll benchmark honours it)
 #   BENCH_TIME             -benchtime for the micro-benchmarks
 #                          (default 1s; RunAll always runs 1x)
-#   BENCH_COUNT            runs of each gated benchmark (default 5); the
-#                          gate compares their median
+#   BENCH_COUNT            runs of every benchmark (default 5); the
+#                          table and the gate compare their medians
 #   BENCH_OUT              output directory (default bench/)
 #   BENCH_TAG              optional snapshot tag appended to the stamp
 #   BENCH_BASELINE_STORE   store to compare against and ingest into
@@ -85,13 +87,14 @@ matrix='BenchmarkRunAllParallel$|BenchmarkServerWorkload$'
 
 {
   # Micro-benchmarks: the workload stage (program and server drivers
-  # with their allocators and mem emit, into a row-counting sink),
+  # with their allocators and mem emit, into a row-counting sink, and
+  # one program bundled over the five paper allocators),
   # cache simulator hot paths (per-ref and columnar block delivery,
   # and the cache group's replay of a recorded gs/firstfit stream), the sharing attributor over a server pair's
   # multi-region layout, and the LRU stack engine (per-ref, block, and
   # the replay of the same recorded stream).
-  # Several iterations each so benchstat has samples.
-  go test -run '^$' -bench "$micro" -benchtime "$benchtime" .
+  # BENCH_COUNT samples each, so the table compares medians.
+  go test -run '^$' -bench "$micro" -benchtime "$benchtime" -count "$count" .
   # Full experiment matrix through the parallel runner, plus the
   # concurrent server sweep: one iteration per sample (they regenerate
   # whole experiment tables per op), BENCH_COUNT samples for the gate.
