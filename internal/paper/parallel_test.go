@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"mallocsim/internal/sim"
 )
@@ -87,9 +86,10 @@ func TestPrefetchSharedKey(t *testing.T) {
 // TestResultJoinsRunningBundle: Result calls for pairs inside a running
 // bundle, duplicates included, wait for the bundle instead of
 // simulating again — every caller gets the bundle's pointer and the
-// memo holds one entry per pair. Run under -race in CI.
+// memo holds one entry per pair. The bundle is held open at its first
+// context poll, after it has registered its pairs in flight, until
+// every caller is waiting on a flight. Run under -race in CI.
 func TestResultJoinsRunningBundle(t *testing.T) {
-	ctx := context.Background()
 	r := NewRunner(128)
 	r.Workers = 1 // one bundle for the program
 	const prog = "espresso"
@@ -97,42 +97,56 @@ func TestResultJoinsRunningBundle(t *testing.T) {
 	for _, a := range Allocators {
 		pairs = append(pairs, Pair{prog, a})
 	}
+	gate := &heldCtx{Context: context.Background(), polled: make(chan struct{}), release: make(chan struct{})}
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate.release) }) }
+	defer release()
 	prefetched := make(chan error, 1)
-	go func() { prefetched <- r.Prefetch(ctx, append(pairs, pairs[0], pairs[3])) }()
-
-	// The bundle registers all its pairs in flight before it starts.
-	for inFlight := 0; inFlight < len(pairs); {
-		select {
-		case err := <-prefetched:
-			t.Fatalf("the bundle finished (err %v) before its pairs were seen in flight", err)
-		case <-time.After(time.Millisecond):
-		}
-		r.mu.Lock()
-		inFlight = len(r.inflight)
-		r.mu.Unlock()
+	go func() { prefetched <- r.Prefetch(gate, append(pairs, pairs[0], pairs[3])) }()
+	select {
+	case <-gate.polled:
+	case err := <-prefetched:
+		t.Fatalf("Prefetch returned (err %v) without polling its context", err)
 	}
+	r.mu.Lock()
+	inFlight, memoized := len(r.inflight), len(r.memo)
+	r.mu.Unlock()
+	if inFlight != len(pairs) || memoized != 0 {
+		t.Fatalf("held bundle: %d pairs in flight and %d memoized, want %d and 0", inFlight, memoized, len(pairs))
+	}
+
 	const callers = 3 // per pair
 	got := make([]*sim.Result, callers*len(pairs))
-	var wg sync.WaitGroup
+	errs := make([]error, len(got))
+	waiting := make(chan struct{}, len(got))
+	returned := make(chan struct{}, len(got))
 	for i := range got {
-		wg.Add(1)
 		go func() {
-			defer wg.Done()
 			p := pairs[i%len(pairs)]
-			res, err := r.Result(ctx, p.Program, p.Allocator)
-			if err != nil {
-				t.Errorf("%s/%s: %v", p.Program, p.Allocator, err)
-			}
-			got[i] = res
+			got[i], errs[i] = r.Result(waitSpy{context.Background(), waiting}, p.Program, p.Allocator)
+			returned <- struct{}{}
 		}()
 	}
-	wg.Wait()
+	for range got {
+		select {
+		case <-waiting:
+		case <-returned:
+			t.Fatal("a Result caller returned while the bundle was held: it did not wait for the bundle")
+		}
+	}
+	release()
+	for range got {
+		<-returned
+	}
 	if err := <-prefetched; err != nil {
 		t.Fatal(err)
 	}
 	for i, res := range got {
 		p := pairs[i%len(pairs)]
-		want, err := r.Result(ctx, p.Program, p.Allocator)
+		if errs[i] != nil {
+			t.Fatalf("caller %d for %s/%s: %v", i, p.Program, p.Allocator, errs[i])
+		}
+		want, err := r.Result(context.Background(), p.Program, p.Allocator)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,6 +157,37 @@ func TestResultJoinsRunningBundle(t *testing.T) {
 	if keys := r.sortedMemoKeys(); len(keys) != len(pairs) {
 		t.Errorf("memo holds %d keys, want %d: %v", len(keys), len(pairs), keys)
 	}
+}
+
+// heldCtx holds its first Err call until release is closed, closing
+// polled when that call arrives. A simulation polls its context before
+// it does any work, so a bundle run under heldCtx stays open, its pairs
+// in flight, until release.
+type heldCtx struct {
+	context.Context
+	once    sync.Once
+	polled  chan struct{}
+	release chan struct{}
+}
+
+func (c *heldCtx) Err() error {
+	c.once.Do(func() {
+		close(c.polled)
+		<-c.release
+	})
+	return c.Context.Err()
+}
+
+// waitSpy sends on waiting whenever Done is called: Result calls it
+// only to wait for another caller's flight.
+type waitSpy struct {
+	context.Context
+	waiting chan<- struct{}
+}
+
+func (c waitSpy) Done() <-chan struct{} {
+	c.waiting <- struct{}{}
+	return c.Context.Done()
 }
 
 // TestPrefetchPropagatesError: a failing pair surfaces from Prefetch,

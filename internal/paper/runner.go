@@ -105,62 +105,84 @@ func (r *Runner) workerCount() int {
 }
 
 // Result returns the memoized fully-instrumented run for the pair,
-// executing it if needed. Safe for concurrent use: duplicate concurrent
-// calls for one key share a single simulation. A done context aborts
-// promptly — the running simulation polls ctx in its step loop, and a
-// caller waiting on another caller's in-flight run stops waiting when
-// its own ctx is done (the flight itself keeps the context it was
-// started under).
+// executing it if needed as a bundle of one. Safe for concurrent use:
+// duplicate concurrent calls for one key share a single simulation. A
+// done context aborts promptly — the running simulation polls ctx in
+// its step loop, and a caller waiting on another caller's in-flight run
+// stops waiting when its own ctx is done (the flight itself keeps the
+// context it was started under).
 func (r *Runner) Result(ctx context.Context, progName, allocName string) (*sim.Result, error) {
-	key := progName + "/" + allocName
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("paper: %s: %w", key, context.Cause(ctx))
+		return nil, fmt.Errorf("paper: %s/%s: %w", progName, allocName, context.Cause(ctx))
 	}
+	res, errs := r.simulate(ctx, progName, []string{allocName})
+	return res[0], errs[0]
+}
+
+// simulate returns progName's run and error for each of allocs, in
+// order, through the memo's single-flight protocol: a memoized pair is
+// looked up, a pair another caller is running is awaited, and the rest
+// are registered in flight and then simulated together as one bundle,
+// which synthesizes the program once for all of them. Only successes
+// are memoized.
+func (r *Runner) simulate(ctx context.Context, progName string, allocs []string) ([]*sim.Result, []error) {
+	results := make([]*sim.Result, len(allocs))
+	errs := make([]error, len(allocs))
+	flights := make([]*flight, len(allocs))
+	var mine []string // the allocators this call simulates
+	var at []int      // their positions in allocs
 	r.mu.Lock()
-	if res, ok := r.memo[key]; ok {
-		r.mu.Unlock()
-		return res, nil
+	for i, a := range allocs {
+		key := progName + "/" + a
+		if res, ok := r.memo[key]; ok {
+			results[i] = res
+			continue
+		}
+		f, ok := r.inflight[key]
+		if !ok {
+			f = &flight{done: make(chan struct{})}
+			r.inflight[key] = f
+			mine, at = append(mine, a), append(at, i)
+		}
+		flights[i] = f
 	}
-	if f, ok := r.inflight[key]; ok {
+	r.mu.Unlock()
+
+	if len(mine) > 0 {
+		res, rerrs := r.runBundle(ctx, progName, mine)
+		r.mu.Lock()
+		for k, i := range at {
+			f := flights[i]
+			f.res, f.err = res[k], rerrs[k]
+			key := progName + "/" + mine[k]
+			if f.err == nil {
+				r.memo[key] = f.res
+			}
+			delete(r.inflight, key)
+			close(f.done)
+			results[i], errs[i], flights[i] = f.res, f.err, nil
+		}
 		r.mu.Unlock()
+	}
+	for i, f := range flights {
+		if f == nil {
+			continue
+		}
 		select {
 		case <-f.done:
-			return f.res, f.err
+			results[i], errs[i] = f.res, f.err
 		case <-ctx.Done():
-			return nil, fmt.Errorf("paper: %s: %w", key, context.Cause(ctx))
+			errs[i] = fmt.Errorf("paper: %s/%s: %w", progName, allocs[i], context.Cause(ctx))
 		}
 	}
-	f := &flight{done: make(chan struct{})}
-	r.inflight[key] = f
-	r.mu.Unlock()
-
-	f.res, f.err = r.runPair(ctx, progName, allocName)
-
-	r.mu.Lock()
-	if f.err == nil {
-		r.memo[key] = f.res
-	}
-	delete(r.inflight, key)
-	r.mu.Unlock()
-	close(f.done)
-	return f.res, f.err
+	return results, errs
 }
 
-// runPair executes one fully-instrumented simulation.
-func (r *Runner) runPair(ctx context.Context, progName, allocName string) (*sim.Result, error) {
-	cfg, err := r.pairConfig(progName)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Allocator = allocName
-	return sim.RunContext(ctx, cfg)
-}
-
-// pairConfig returns the simulation every pair of progName runs, less
-// its allocator. progName may name either a sequential program
-// (workload.ByName) or a concurrent server scenario
+// runBundle executes one fully-instrumented simulation of progName for
+// all of allocs (sim.RunBundle). progName may name either a sequential
+// program (workload.ByName) or a concurrent server scenario
 // (workload.ServerByName); the two catalogs share a namespace.
-func (r *Runner) pairConfig(progName string) (sim.Config, error) {
+func (r *Runner) runBundle(ctx context.Context, progName string, allocs []string) ([]*sim.Result, []error) {
 	cfgs := make([]cache.Config, len(CacheSizes))
 	for i, s := range CacheSizes {
 		cfgs[i] = cache.Config{Size: s}
@@ -173,15 +195,17 @@ func (r *Runner) pairConfig(progName string) (sim.Config, error) {
 	}
 	if srv, ok := workload.ServerByName(progName); ok {
 		cfg.Server = &srv
-		return cfg, nil
+	} else if prog, ok := workload.ByName(progName); ok {
+		cfg.Program = prog
+		cfg.PageSim = pageSimPrograms[progName]
+	} else {
+		errs := make([]error, len(allocs))
+		for i := range errs {
+			errs[i] = fmt.Errorf("paper: unknown program %q", progName)
+		}
+		return make([]*sim.Result, len(allocs)), errs
 	}
-	prog, ok := workload.ByName(progName)
-	if !ok {
-		return cfg, fmt.Errorf("paper: unknown program %q", progName)
-	}
-	cfg.Program = prog
-	cfg.PageSim = pageSimPrograms[progName]
-	return cfg, nil
+	return sim.RunBundle(ctx, cfg, allocs)
 }
 
 // ShadowSnapshots returns the heap-auditor verdicts of every memoized
@@ -212,20 +236,21 @@ type Pair struct {
 // goroutines), populating the memo so that subsequent table assembly is
 // pure lookup. Already-memoized pairs cost nothing, and duplicates run
 // once. Pairs of one catalog program run as bundles (sim.RunBundle):
-// the program's allocators are dealt into min(Workers, N) bundles of
+// the program's N allocators are dealt into min(Workers, N) bundles of
 // near-equal size, and each bundle synthesizes the program once for
-// all of its allocators. Server-scenario pairs, whose sharing sinks
-// make a bundle's lanes costly to hold at once, and programs with one
-// pair left run alone through Result. Every bundled pair is registered
-// in flight before its bundle starts, so a concurrent Result for it
-// waits instead of simulating again.
+// all of its allocators — so bundles share work only while Workers is
+// below N, and at Workers >= N every pair runs alone. Server-scenario
+// pairs, whose sharing sinks make a bundle's lanes costly to hold at
+// once, run one per job. Every pair of a job is registered in flight
+// before its bundle starts, so a concurrent Result for it waits instead
+// of simulating again.
 //
-// Prefetch returns the first error in plan order (programs by first
-// use) after all workers drain; failed pairs are not memoized. Every
-// lane is hermetic, so results are byte-identical to executing the
-// pairs one by one through Result. A done ctx makes the remaining pairs
-// fail fast, so a cancelled prefetch drains its pool within one
-// simulation's cancellation latency.
+// Prefetch runs every job, at any width including 1, and then returns
+// the first error in plan order (programs by first use); failed pairs
+// are not memoized. Every lane is hermetic, so results are
+// byte-identical to executing the pairs one by one through Result. A
+// done ctx makes the remaining pairs fail fast, so a cancelled prefetch
+// drains its pool within one simulation's cancellation latency.
 func (r *Runner) Prefetch(ctx context.Context, pairs []Pair) error {
 	jobs := r.plan(pairs)
 	errs := make([]error, len(jobs))
@@ -240,7 +265,13 @@ func (r *Runner) Prefetch(ctx context.Context, pairs []Pair) error {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				errs[i] = r.runJob(ctx, jobs[i])
+				_, jerrs := r.simulate(ctx, jobs[i].program, jobs[i].allocs)
+				for _, err := range jerrs {
+					if err != nil {
+						errs[i] = err
+						break
+					}
+				}
 			}
 		}()
 	}
@@ -257,24 +288,19 @@ func (r *Runner) Prefetch(ctx context.Context, pairs []Pair) error {
 	return nil
 }
 
-// job is one unit of Prefetch's pool: a lone pair, or a bundle of one
-// program's allocators with the simulation they share (bundle set).
+// job is one unit of Prefetch's pool: a bundle of one program's
+// allocators.
 type job struct {
 	program string
 	allocs  []string
-	bundle  *sim.Config
 }
 
 // plan deduplicates pairs, drops the memoized ones and groups the rest
-// into jobs, in first-use order: catalog programs into bundles dealt
-// over the worker count, everything else into lone pairs.
+// into jobs, in first-use order: each program's allocators are dealt
+// into bundles over the worker count, a server scenario's one per job.
 func (r *Runner) plan(pairs []Pair) []job {
-	type group struct {
-		program string
-		allocs  []string
-	}
-	var groups []*group
-	byProg := map[string]*group{}
+	var groups []*job
+	byProg := map[string]*job{}
 	seen := map[Pair]bool{}
 	r.mu.Lock()
 	for _, p := range pairs {
@@ -287,7 +313,7 @@ func (r *Runner) plan(pairs []Pair) []job {
 		}
 		g := byProg[p.Program]
 		if g == nil {
-			g = &group{program: p.Program}
+			g = &job{program: p.Program}
 			byProg[p.Program] = g
 			groups = append(groups, g)
 		}
@@ -298,86 +324,19 @@ func (r *Runner) plan(pairs []Pair) []job {
 	workers := r.workerCount()
 	var jobs []job
 	for _, g := range groups {
-		cfg, err := r.pairConfig(g.program)
-		if err != nil || cfg.Server != nil || len(g.allocs) == 1 {
-			for _, a := range g.allocs {
-				jobs = append(jobs, job{program: g.program, allocs: []string{a}})
-			}
-			continue
-		}
-		n := workers
-		if n > len(g.allocs) {
+		n := min(workers, len(g.allocs))
+		if _, server := workload.ServerByName(g.program); server {
 			n = len(g.allocs)
 		}
 		bundles := make([]job, n)
 		for i, a := range g.allocs {
 			b := &bundles[i%n]
-			b.program, b.bundle = g.program, &cfg
+			b.program = g.program
 			b.allocs = append(b.allocs, a)
 		}
 		jobs = append(jobs, bundles...)
 	}
 	return jobs
-}
-
-// runJob runs one job and returns the first error among its pairs.
-func (r *Runner) runJob(ctx context.Context, j job) error {
-	if j.bundle == nil {
-		_, err := r.Result(ctx, j.program, j.allocs[0])
-		return err
-	}
-	return r.runBundle(ctx, j)
-}
-
-// runBundle simulates j's program once for every allocator of j not
-// already memoized or in flight, registering each as in flight first,
-// then waits for the pairs another caller is running.
-func (r *Runner) runBundle(ctx context.Context, j job) error {
-	progName := j.program
-	var mine, others []string
-	var flights []*flight
-	r.mu.Lock()
-	for _, a := range j.allocs {
-		key := progName + "/" + a
-		if _, ok := r.memo[key]; ok {
-			continue
-		}
-		if _, ok := r.inflight[key]; ok {
-			others = append(others, a)
-			continue
-		}
-		f := &flight{done: make(chan struct{})}
-		r.inflight[key] = f
-		mine = append(mine, a)
-		flights = append(flights, f)
-	}
-	r.mu.Unlock()
-
-	var first error
-	if len(mine) > 0 {
-		results, errs := sim.RunBundle(ctx, *j.bundle, mine)
-		r.mu.Lock()
-		for i, a := range mine {
-			key := progName + "/" + a
-			flights[i].res, flights[i].err = results[i], errs[i]
-			if errs[i] == nil {
-				r.memo[key] = results[i]
-			} else if first == nil {
-				first = errs[i]
-			}
-			delete(r.inflight, key)
-		}
-		r.mu.Unlock()
-		for _, f := range flights {
-			close(f.done)
-		}
-	}
-	for _, a := range others {
-		if _, err := r.Result(ctx, progName, a); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }
 
 func (r *Runner) note() string {

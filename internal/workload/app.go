@@ -50,7 +50,8 @@ const (
 const cancelCheckEvery = 1024
 
 type object struct {
-	slot uint32 // its address in every lane's slot table; reused after free
+	addr uint64 // its address in the lead lane
+	slot uint32 // its address's index in the other lanes' slot tables; reused after free
 	size uint32
 	idx  int // position in the live slice
 	dead bool
@@ -129,7 +130,8 @@ func newSizeDist(sw []SizeWeight, siteBase uint32) sizeDist {
 // the server driver runs one per worker.
 type thread struct {
 	id     uint8
-	slot   uint32 // its stack's base in every lane's slot table
+	slot   uint32 // its stack's base's index in the other lanes' slot tables
+	stack  uint64 // its stack's base in the lead lane
 	sp     uint64
 	window [windowSize]*object
 	wpos   int
@@ -158,8 +160,9 @@ type lane struct {
 	site   alloc.SiteAllocator  // non-nil when a takes call sites but no hints
 	meter  *cost.Meter
 
-	// slots holds the lane's address for every slot: each thread's
-	// stack base, the global segment's base and every live object.
+	// slots holds the lane's address for every slot — each thread's
+	// stack base, the global segment's base and every live object —
+	// unless the lane is the lead, which keeps its addresses inline.
 	slots   []uint64
 	nonHeap []*mem.Region // stacks + globals, excluded from heap samples
 	samples []Sample
@@ -200,9 +203,9 @@ func (l *lane) free(addr uint64) error {
 	return err
 }
 
-// place records slot s's address. Every running lane sees every new
-// slot, so a fresh one is always the next: the table grows to the
-// stacks, the globals and the peak live count, and no further.
+// place records slot s's address. Every running lane but the lead sees
+// every new slot, so a fresh one is always the next: the table grows to
+// the stacks, the globals and the peak live count, and no further.
 func (l *lane) place(s uint32, addr uint64) {
 	if int(s) < len(l.slots) {
 		l.slots[s] = addr
@@ -236,12 +239,15 @@ func (l *lane) place(s uint32, addr uint64) {
 //     promotes each new object as it is allocated, the server promotes
 //     a request object when it arrives and never promotes a session.
 type app struct {
-	lanes   []*lane // every lane, in bundle order
-	running []*lane // the lanes not yet stopped, in bundle order
-	// where wraps a failed allocator call's error with the driver's
-	// current position ("workload gs step 12: …"), as the lone run's
-	// return path does.
-	where func(error) error
+	// m is the lead lane's memory and rest the other running lanes. The
+	// lead keeps its addresses inline (object.addr, thread.stack,
+	// globalBase) and takes each reference straight through m, so a lone
+	// run references memory as directly as a driver without bundles; the
+	// rest look their addresses up by slot (mirror). Once the lead stops,
+	// m is a stand-in whose references go nowhere, so the reference path
+	// never asks whether the lead still runs.
+	m    *mem.Memory
+	rest []*lane
 
 	sizeRng *rng.Rand
 	lifeRng *rng.Rand
@@ -254,16 +260,27 @@ type app struct {
 	windowZipf *rng.Zipf
 	globalZipf *rng.Zipf
 
-	live      []*object
-	liveBytes uint64
-	freed     []uint32 // slots of freed objects, for reuse
-	nextSlot  uint32
-	globals   uint32   // the global segment's slot
-	globalHot []uint64 // offsets of the hot words in the global segment
+	live       []*object
+	liveBytes  uint64
+	globalBase uint64   // the global segment's base in the lead lane
+	globals    uint32   // the global segment's slot
+	globalHot  []uint64 // offsets of the hot words in the global segment
 
 	refsAcc  float64 // reference budget accumulator
 	refsStep uint64  // references made this step
 	frees    uint64  // amortized cancellation poll across all free drains
+
+	lanes    []*lane  // every lane, in bundle order; lanes[0] is the lead
+	running  []*lane  // the lanes not yet stopped, in bundle order
+	freed    []uint32 // slots of freed objects, for reuse
+	nextSlot uint32
+	// setUp is set once every lane has its stacks and globals: a lane
+	// that fails before has no statistics, as its lone run had none.
+	setUp bool
+	// where wraps a failed allocator call's error with the driver's
+	// current position ("workload gs step 12: …"), as the lone run's
+	// return path does.
+	where func(error) error
 
 	stats Stats
 }
@@ -291,7 +308,7 @@ func newApp(lanes []Lane, name string, seed uint64, stackFrac, globalFrac float6
 		}
 		ap.lanes = append(ap.lanes, l)
 	}
-	ap.running = append([]*lane(nil), ap.lanes...)
+	ap.setRunning(append([]*lane(nil), ap.lanes...))
 	root := rng.New(seed ^ hashName(name))
 	ap.sizeRng = root.Split()
 	ap.lifeRng = root.Split()
@@ -337,8 +354,31 @@ func (ap *app) apply(f func(l *lane) error) {
 func (ap *app) stop(i int, err error) {
 	l := ap.running[i]
 	l.err = ap.where(err)
-	l.stats = ap.snapshot(l)
-	ap.running = append(ap.running[:i], ap.running[i+1:]...)
+	if ap.setUp {
+		l.stats = ap.snapshot(l)
+	}
+	ap.setRunning(append(ap.running[:i], ap.running[i+1:]...))
+}
+
+// setRunning makes running the running lanes and derives m and rest
+// from them.
+func (ap *app) setRunning(running []*lane) {
+	ap.running = running
+	if len(running) > 0 && running[0] == ap.lanes[0] {
+		ap.m, ap.rest = running[0].m, running[1:]
+		return
+	}
+	ap.m, ap.rest = mem.New(trace.Discard, nil), running
+}
+
+// place records a new address of l for slot s: at lead when l is the
+// lead lane, in l's slot table otherwise.
+func (ap *app) place(l *lane, lead *uint64, s uint32, addr uint64) {
+	if l == ap.lanes[0] {
+		*lead = addr
+		return
+	}
+	l.place(s, addr)
 }
 
 // done reports whether every lane has stopped, so the driver can quit.
@@ -395,14 +435,15 @@ func (ap *app) newThread(name string, id uint8) thread {
 			return err
 		}
 		l.nonHeap = append(l.nonHeap, stack)
-		l.place(th.slot, sb)
+		ap.place(l, &th.stack, th.slot, sb)
 		return nil
 	})
 	return th
 }
 
 // newGlobals creates the global segment in every lane and draws its 64
-// hot words.
+// hot words. It ends the application's setup: the drivers create every
+// thread first.
 func (ap *app) newGlobals(size uint64) {
 	ap.globals = ap.newSlot()
 	ap.apply(func(l *lane) error {
@@ -412,9 +453,10 @@ func (ap *app) newGlobals(size uint64) {
 			return err
 		}
 		l.nonHeap = append(l.nonHeap, globals)
-		l.place(ap.globals, gb)
+		ap.place(l, &ap.globalBase, ap.globals, gb)
 		return nil
 	})
+	ap.setUp = true
 	ap.globalHot = make([]uint64, 64)
 	for i := range ap.globalHot {
 		ap.globalHot[i] = mem.AlignUp(ap.refRng.Uint64n(size-4), mem.WordSize)
@@ -423,7 +465,8 @@ func (ap *app) newGlobals(size uint64) {
 
 // setTid stamps the issuing thread on every running lane's references.
 func (ap *app) setTid(tid uint8) {
-	for _, l := range ap.running {
+	ap.m.SetTid(tid)
+	for _, l := range ap.rest {
 		l.m.SetTid(tid)
 	}
 }
@@ -434,26 +477,30 @@ func (ap *app) malloc(d sizeDist, hint uint32) *object {
 	idx := d.dist.Sample(ap.sizeRng)
 	size := d.sizes[idx]
 	site := d.base + uint32(idx)
-	slot := ap.newSlot()
+	o := &object{slot: ap.newSlot(), size: size, idx: len(ap.live)}
 	ap.apply(func(l *lane) error {
 		addr, err := l.malloc(size, site, hint)
 		if err != nil {
 			return err
 		}
-		l.place(slot, addr)
+		ap.place(l, &o.addr, o.slot, addr)
 		return nil
 	})
 	ap.stats.Allocs++
 	ap.stats.ReqBytes += uint64(size)
 	ap.liveBytes += uint64(size)
-	o := &object{slot: slot, size: size, idx: len(ap.live)}
 	ap.live = append(ap.live, o)
 	return o
 }
 
 // free returns o to every running lane's allocator.
 func (ap *app) free(o *object) {
-	ap.apply(func(l *lane) error { return l.free(l.slots[o.slot]) })
+	ap.apply(func(l *lane) error {
+		if l == ap.lanes[0] {
+			return l.free(o.addr)
+		}
+		return l.free(l.slots[o.slot])
+	})
 	ap.stats.Frees++
 	ap.liveBytes -= uint64(o.size)
 	o.dead = true
@@ -497,29 +544,20 @@ func (ap *app) sample(step uint64) {
 	}
 }
 
-// touch emits one n-byte reference at offset off from slot s's address
-// in every running lane. A lone lane takes one call with no loop state
-// to keep across it, so a lone run pays next to nothing for bundles.
-func (ap *app) touch(s uint32, off uint64, n uint32, k trace.Kind) {
-	if len(ap.running) == 1 {
-		l := ap.running[0]
-		l.m.Touch(l.slots[s]+off, n, k)
-		return
-	}
-	for _, l := range ap.running {
+// mirror makes, in every running lane but the lead, the n-byte
+// reference the lead makes at offset off from its address: at offset
+// off from slot s's address there. Each reference of the application
+// is a mirror call followed by the lead's own call through m; in a lone
+// run mirror inlines to one length test.
+func (ap *app) mirror(s uint32, off uint64, n uint32, k trace.Kind) {
+	for _, l := range ap.rest {
 		l.m.Touch(l.slots[s]+off, n, k)
 	}
 }
 
-// touchRun emits words word references from offset off from slot s's
-// address in every running lane, with touch's lone-lane path.
-func (ap *app) touchRun(s uint32, off, words uint64, k trace.Kind) {
-	if len(ap.running) == 1 {
-		l := ap.running[0]
-		l.m.TouchRun(l.slots[s]+off, words, k)
-		return
-	}
-	for _, l := range ap.running {
+// mirrorRun is mirror for a run of words word references (TouchRun).
+func (ap *app) mirrorRun(s uint32, off, words uint64, k trace.Kind) {
+	for _, l := range ap.rest {
 		l.m.TouchRun(l.slots[s]+off, words, k)
 	}
 }
@@ -531,11 +569,13 @@ func (ap *app) touchRun(s uint32, off, words uint64, k trace.Kind) {
 func (ap *app) initObject(o *object) {
 	words := uint64(o.size) / mem.WordSize
 	if words == 0 {
-		ap.touch(o.slot, 0, o.size, trace.Write)
+		ap.mirror(o.slot, 0, o.size, trace.Write)
+		ap.m.Touch(o.addr, o.size, trace.Write)
 		ap.refsStep++
 		return
 	}
-	ap.touchRun(o.slot, 0, words, trace.Write)
+	ap.mirrorRun(o.slot, 0, words, trace.Write)
+	ap.m.TouchRun(o.addr, words, trace.Write)
 	ap.refsStep += words
 }
 
@@ -592,7 +632,8 @@ func (ap *app) stackRef(th *thread) {
 	if ap.refRng.Bool(0.45) {
 		kind = trace.Write
 	}
-	ap.touch(th.slot, off, mem.WordSize, kind)
+	ap.mirror(th.slot, off, mem.WordSize, kind)
+	ap.m.Touch(th.stack+off, mem.WordSize, kind)
 }
 
 // globalRef touches a Zipf-hot global word. The words are shared by
@@ -605,7 +646,8 @@ func (ap *app) globalRef() {
 	if ap.refRng.Bool(0.2) {
 		kind = trace.Write
 	}
-	ap.touch(ap.globals, off, mem.WordSize, kind)
+	ap.mirror(ap.globals, off, mem.WordSize, kind)
+	ap.m.Touch(ap.globalBase+off, mem.WordSize, kind)
 }
 
 // heapRun references a short sequential run of words inside one live
@@ -621,7 +663,8 @@ func (ap *app) heapRun(th *thread) uint64 {
 	}
 	words := uint64(o.size) / mem.WordSize
 	if words == 0 {
-		ap.touch(o.slot, 0, o.size, trace.Read)
+		ap.mirror(o.slot, 0, o.size, trace.Read)
+		ap.m.Touch(o.addr, o.size, trace.Read)
 		return 1
 	}
 	start := ap.refRng.Uint64n(words)
@@ -633,7 +676,8 @@ func (ap *app) heapRun(th *thread) uint64 {
 	if ap.refRng.Bool(writeProb) {
 		kind = trace.Write
 	}
-	ap.touchRun(o.slot, start*mem.WordSize, run, kind)
+	ap.mirrorRun(o.slot, start*mem.WordSize, run, kind)
+	ap.m.TouchRun(o.addr+start*mem.WordSize, run, kind)
 	th.promote(o)
 	return run
 }

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"testing"
 
 	"mallocsim/internal/alloc"
@@ -261,5 +263,51 @@ func TestFragmentationSamples(t *testing.T) {
 	}
 	if (Sample{}).Overhead() != 0 {
 		t.Error("zero sample overhead should be 0")
+	}
+}
+
+// TestSetupFailureHasNoStats: a lane whose globals cannot be mapped
+// fails before the application starts, so it returns no statistics —
+// alone, or in a bundle whose other lanes finish — and so does a server
+// scenario with an invalid thread count.
+func TestSetupFailureHasNoStats(t *testing.T) {
+	prog, ok := ByName("gawk")
+	if !ok {
+		t.Fatal("no gawk program")
+	}
+	cfg := Config{Program: prog, Scale: 1024, Seed: 1}
+	newLane := func(limit uint64) Lane {
+		m := mem.New(trace.Discard, nil)
+		m.DefaultRegionLimit = limit
+		a, err := alloc.New("firstfit", m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Lane{Mem: m, Alloc: a}
+	}
+	const tight = 4 << 10 // below gawk's global segment
+	l := newLane(tight)
+	stats, err := Run(l.Mem, l.Alloc, cfg)
+	if !errors.Is(err, mem.ErrOutOfMemory) || !reflect.DeepEqual(stats, Stats{}) {
+		t.Errorf("lone run: got %+v, %v; want no statistics and an out-of-memory error", stats, err)
+	}
+
+	all, errs := RunBundle(context.Background(), []Lane{newLane(tight), newLane(0)}, cfg)
+	if !errors.Is(errs[0], mem.ErrOutOfMemory) || !reflect.DeepEqual(all[0], Stats{}) {
+		t.Errorf("failing lane: got %+v, %v; want no statistics and an out-of-memory error", all[0], errs[0])
+	}
+	if errs[1] != nil || all[1].Allocs == 0 {
+		t.Errorf("the other lane: got %+v, %v; want a finished run", all[1], errs[1])
+	}
+
+	scen, ok := ServerByName("server")
+	if !ok {
+		t.Fatal("no server scenario")
+	}
+	scen.Threads = 1
+	l = newLane(0)
+	stats, err = RunServerContext(context.Background(), l.Mem, l.Alloc, ServerRunConfig{Scenario: scen, Scale: 1024, Seed: 1})
+	if err == nil || !reflect.DeepEqual(stats, Stats{}) {
+		t.Errorf("one-thread server: got %+v, %v; want no statistics and an error", stats, err)
 	}
 }

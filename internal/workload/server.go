@@ -194,10 +194,15 @@ func RunServerBundle(ctx context.Context, lanes []Lane, cfg ServerRunConfig) ([]
 	if cfg.Scale == 0 {
 		cfg.Scale = 1
 	}
-	ap, root := newApp(lanes, scen.Name, cfg.Seed, scen.StackFrac, scen.GlobalFrac)
 	if scen.Threads < 2 || scen.Threads > 63 {
-		return ap.results(fmt.Errorf("workload: server scenario %q needs 2..63 threads, got %d", scen.Name, scen.Threads))
+		err := fmt.Errorf("workload: server scenario %q needs 2..63 threads, got %d", scen.Name, scen.Threads)
+		errs := make([]error, len(lanes))
+		for i := range errs {
+			errs[i] = err
+		}
+		return make([]Stats, len(lanes)), errs
 	}
+	ap, root := newApp(lanes, scen.Name, cfg.Seed, scen.StackFrac, scen.GlobalFrac)
 	d := &serverDriver{app: ap, scen: scen, routeRng: root.Split()}
 	return ap.results(d.run(ctx, cfg.Scale))
 }
@@ -380,13 +385,15 @@ func (d *serverDriver) drainInbox(ctx context.Context, th *serverThread) error {
 		th.inbox = th.inbox[:len(th.inbox)-1]
 		words := uint64(o.size) / mem.WordSize
 		if words == 0 {
-			d.touch(o.slot, 0, o.size, trace.Read)
+			d.mirror(o.slot, 0, o.size, trace.Read)
+			d.m.Touch(o.addr, o.size, trace.Read)
 			d.refsStep++
 		} else {
 			if words > maxRunWords {
 				words = maxRunWords
 			}
-			d.touchRun(o.slot, 0, words, trace.Read)
+			d.mirrorRun(o.slot, 0, words, trace.Read)
+			d.m.TouchRun(o.addr, words, trace.Read)
 			d.refsStep += words
 		}
 		d.free(o)
@@ -415,9 +422,11 @@ func (d *serverDriver) touchSession(th *serverThread, reqIdx uint64) {
 		n = words
 	}
 	if n > 0 {
-		d.touchRun(s.obj.slot, 0, n, trace.Read)
+		d.mirrorRun(s.obj.slot, 0, n, trace.Read)
+		d.m.TouchRun(s.obj.addr, n, trace.Read)
 		d.refsStep += n
 	}
-	d.touch(s.obj.slot, 0, mem.WordSize, trace.Write)
+	d.mirror(s.obj.slot, 0, mem.WordSize, trace.Write)
+	d.m.Touch(s.obj.addr, mem.WordSize, trace.Write)
 	d.refsStep++
 }

@@ -296,30 +296,33 @@ func TestDriverStreamsPinned(t *testing.T) {
 		}
 		wantFail := lone.pin(prog.Name, stats)
 
-		var lanes []*pinLane
-		for _, a := range alloc.Names() {
-			lanes = append(lanes, newPinLane(t, a, 0))
-		}
-		const at = 5 // lanes after the failing one must still match
-		lanes = append(lanes[:at], append([]*pinLane{newPinLane(t, failing, limit)}, lanes[at:]...)...)
-		runs, errs := pinBundle(prog, lanes)
-		for i, g := range runs {
-			if i == at {
-				if errs[i] == nil || errs[i].Error() != loneErr.Error() {
-					t.Errorf("failing lane: error %v, want the lone run's %v", errs[i], loneErr)
-				}
-				gb, _ := json.Marshal(g)
-				wb, _ := json.Marshal(wantFail)
-				if !bytes.Equal(gb, wb) {
-					t.Errorf("failing lane diverged from its lone run:\n got  %s\n want %s", gb, wb)
-				}
-				continue
+		// The failing lane leads the bundle, then follows the lead: the
+		// lead keeps its addresses inline and the rest in slot tables.
+		for _, at := range []int{0, 5} {
+			var lanes []*pinLane
+			for _, a := range alloc.Names() {
+				lanes = append(lanes, newPinLane(t, a, 0))
 			}
-			if errs[i] != nil {
-				t.Errorf("%s: %v", g.Run, errs[i])
-				continue
+			lanes = append(lanes[:at], append([]*pinLane{newPinLane(t, failing, limit)}, lanes[at:]...)...)
+			runs, errs := pinBundle(prog, lanes)
+			for i, g := range runs {
+				if i == at {
+					if errs[i] == nil || errs[i].Error() != loneErr.Error() {
+						t.Errorf("failing lane %d: error %v, want the lone run's %v", at, errs[i], loneErr)
+					}
+					gb, _ := json.Marshal(g)
+					wb, _ := json.Marshal(wantFail)
+					if !bytes.Equal(gb, wb) {
+						t.Errorf("failing lane %d diverged from its lone run:\n got  %s\n want %s", at, gb, wb)
+					}
+					continue
+				}
+				if errs[i] != nil {
+					t.Errorf("%s beside failing lane %d: %v", g.Run, at, errs[i])
+					continue
+				}
+				check(t, g)
 			}
-			check(t, g)
 		}
 	})
 }
