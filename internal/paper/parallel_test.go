@@ -223,3 +223,16 @@ func TestPaperPairsCoverRunAll(t *testing.T) {
 		t.Errorf("RunAll ran %d simulations PaperPairs missed", after-before)
 	}
 }
+
+// TestResultHitZeroAlloc: table assembly asks Result for every cell, so
+// a memoized pair must be a lookup that allocates nothing.
+func TestResultHitZeroAlloc(t *testing.T) {
+	ctx := context.Background()
+	r := NewRunner(1024)
+	if _, err := r.Result(ctx, "espresso", "firstfit"); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(100, func() { _, _ = r.Result(ctx, "espresso", "firstfit") }); avg != 0 {
+		t.Errorf("a memoized Result allocates %.1f allocs/op, want 0", avg)
+	}
+}

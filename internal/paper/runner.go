@@ -57,11 +57,12 @@ type Runner struct {
 	Penalty uint64
 
 	// Workers bounds the worker pool used by Prefetch and RunAll, and
-	// with it how Prefetch bundles allocators: each program's
-	// allocators are dealt into at most Workers bundles. 0 means
-	// GOMAXPROCS; 1 runs one bundle per program, sequentially. The
-	// results are byte-identical at every width and bundle size — only
-	// wall-clock and memory change.
+	// with it how Prefetch bundles allocators: each program's N
+	// allocators are dealt into min(Workers, N) bundles, so synthesis is
+	// shared only while Workers < N, and a bundle holds about N/Workers
+	// pipelines at once. 0 means GOMAXPROCS; 1 runs one bundle per
+	// program, sequentially. The results are byte-identical at every
+	// width and bundle size — only wall-clock and memory change.
 	Workers int
 
 	// CheckHeap runs every simulation under the shadow heap auditor
@@ -115,8 +116,16 @@ func (r *Runner) Result(ctx context.Context, progName, allocName string) (*sim.R
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("paper: %s/%s: %w", progName, allocName, context.Cause(ctx))
 	}
-	res, errs := r.simulate(ctx, progName, []string{allocName})
-	return res[0], errs[0]
+	// Table assembly asks for every cell's pair, so a memoized pair is
+	// one lookup, without simulate's per-call slices.
+	r.mu.Lock()
+	res, ok := r.memo[progName+"/"+allocName]
+	r.mu.Unlock()
+	if ok {
+		return res, nil
+	}
+	results, errs := r.simulate(ctx, progName, []string{allocName})
+	return results[0], errs[0]
 }
 
 // simulate returns progName's run and error for each of allocs, in
