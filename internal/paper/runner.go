@@ -262,7 +262,7 @@ type Pair struct {
 // drains its pool within one simulation's cancellation latency.
 func (r *Runner) Prefetch(ctx context.Context, pairs []Pair) error {
 	jobs := r.plan(pairs)
-	errs := make([]error, len(jobs))
+	errs := make([][]error, len(jobs))
 	workers := r.workerCount()
 	if workers > len(jobs) {
 		workers = len(jobs)
@@ -274,13 +274,7 @@ func (r *Runner) Prefetch(ctx context.Context, pairs []Pair) error {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				_, jerrs := r.simulate(ctx, jobs[i].program, jobs[i].allocs)
-				for _, err := range jerrs {
-					if err != nil {
-						errs[i] = err
-						break
-					}
-				}
+				_, errs[i] = r.simulate(ctx, jobs[i].program, jobs[i].allocs)
 			}
 		}()
 	}
@@ -289,9 +283,11 @@ func (r *Runner) Prefetch(ctx context.Context, pairs []Pair) error {
 	}
 	close(work)
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	for _, jerrs := range errs {
+		for _, err := range jerrs {
+			if err != nil {
+				return err
+			}
 		}
 	}
 	return nil
