@@ -17,6 +17,7 @@ package mallocsim
 // design decisions the paper's §4.3/§4.4 discussion calls out.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -32,6 +33,7 @@ import (
 	"mallocsim/internal/cache"
 	"mallocsim/internal/cost"
 	"mallocsim/internal/mem"
+	"mallocsim/internal/optrace"
 	"mallocsim/internal/paper"
 	"mallocsim/internal/rng"
 	"mallocsim/internal/sim"
@@ -453,6 +455,58 @@ func BenchmarkWorkloadSynthesis(b *testing.B) {
 			b.ReportMetric(float64(refs)/float64(total), "refs/row")
 		})
 	}
+}
+
+// BenchmarkAllocatorPairReplay replays gs/firstfit's allocator op
+// stream — recorded once, outside the timer, at the golden scale, seed
+// 1 — into a fresh firstfit on a batched Memory per op, feeding a
+// rowCounter: the allocator stage of the layer ladder. It times the
+// allocator's own word references through mem's ReadWord/WriteWord,
+// backing pages and emit path, without the workload's synthesis and
+// application references.
+func BenchmarkAllocatorPairReplay(b *testing.B) {
+	prog, ok := workload.ByName("gs")
+	if !ok {
+		b.Fatal("unknown program gs")
+	}
+	var ops bytes.Buffer
+	w, err := optrace.NewWriter(&ops)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := mem.New(nil, &cost.Meter{})
+	a, err := alloc.New("firstfit", m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := workload.Config{Program: prog, Scale: paper.GoldenScale, Seed: 1}
+	if _, err := workload.RunContext(context.Background(), m, optrace.NewRecorder(a, w), cfg); err != nil {
+		b.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	var rows rowCounter
+	for i := 0; i < b.N; i++ {
+		rows = rowCounter{}
+		m := mem.New(&rows, &cost.Meter{})
+		m.SetBatching(0)
+		a, err := alloc.New("firstfit", m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := optrace.NewReader(bytes.NewReader(ops.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := optrace.Replay(r, a, nil); err != nil {
+			b.Fatal(err)
+		}
+		m.Flush()
+	}
+	b.ReportMetric(float64(w.Count()), "alloc-ops")
+	b.ReportMetric(float64(rows.rows), "rows")
 }
 
 // BenchmarkStackSimPairReplay replays one paging pair's recorded

@@ -3,7 +3,7 @@
 // and shadow-checked runs (-check changes no measured byte, PR 3) only
 // hold if the simulation and reporting pipeline is a pure function of
 // its inputs. In the packages that compute or assemble results —
-// sim, paper, obs, cache and vm — this analyzer forbids the three
+// sim, paper, obs, mem, cache and vm — this analyzer forbids the three
 // stdlib trapdoors through which nondeterminism leaks:
 //
 //  1. Wall-clock reads: time.Now, time.Since and friends. Simulated
@@ -47,14 +47,16 @@ import (
 // Analyzer is the determinism analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
-	Doc:  "internal/{sim,paper,obs,cache,vm,serve,store} must not read wall clocks, use global math/rand, or iterate maps unsorted — run results must be byte-identical across runs and worker counts",
+	Doc:  "internal/{sim,paper,obs,mem,cache,vm,serve,store} must not read wall clocks, use global math/rand, or iterate maps unsorted — run results must be byte-identical across runs and worker counts",
 	Run:  run,
 }
 
 // scopedPkgs are the package names (path-suffix matched) the guarantees
-// cover. store is scoped so that two processes over one store directory
-// enumerate documents identically (listings, index rewrites).
-var scopedPkgs = []string{"sim", "paper", "obs", "cache", "vm", "serve", "store"}
+// cover. mem is scoped for PageDir.Each, the ordered page walk behind
+// the cache simulators' results. store is scoped so that two processes
+// over one store directory enumerate documents identically (listings,
+// index rewrites).
+var scopedPkgs = []string{"sim", "paper", "obs", "mem", "cache", "vm", "serve", "store"}
 
 // clockFuncs are the time package functions that read the wall clock or
 // schedule against it.

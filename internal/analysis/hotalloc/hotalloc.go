@@ -23,11 +23,10 @@
 // warm, reused buffer is the hot paths' working idiom, and the
 // AllocsPerRun regression tests (cache/vm zeroalloc tests) pin the
 // warmed steady state to 0 allocs/op dynamically. Cold-path helpers
-// called from hot functions (pageDir.materialize, mem.Memory.page,
-// vm's pageTable.page and fenwick.compact) are not in the hot set:
-// materializing a page on first touch and growing the slot space are
-// the documented amortized exceptions, and the dynamic tests hold them
-// to account.
+// called from hot functions (mem.PageDir.materialize and vm's
+// fenwick.compact) are not in the hot set: materializing a page on
+// first touch and growing the slot space are the documented amortized
+// exceptions, and the dynamic tests hold them to account.
 package hotalloc
 
 import (
@@ -56,20 +55,19 @@ var hotFuncs = map[string]map[string]map[string]bool{
 		"Group":   set("Ref", "accessLine", "Block", "fusedScan", "probeEntry", "probeRun", "decompose", "replay"),
 		"Cache":   set("Ref", "Block", "accessLine", "accessLineRun"),
 		"lineSet": set("add", "addRange"),
-		"pageDir": set("lookup", "find"),
 		"Sharing": set("Ref", "Refs", "Block", "access", "runRow", "accessLine"),
 	},
 	"vm": {
-		"StackSim":  set("Ref", "Block", "foldRepeats", "accessPage", "record"),
-		"fenwick":   set("access", "prefix", "add"),
-		"pageTable": set("ref"),
-		"mtfList":   set("access"),
+		"StackSim": set("Ref", "Block", "foldRepeats", "accessPage", "record"),
+		"fenwick":  set("access", "entry", "prefix", "add"),
+		"mtfList":  set("access"),
 	},
 	"trace": {
 		"Block": set("Append", "AppendRun", "AppendRunTid", "AppendRefs", "Reset"),
 	},
 	"mem": {
-		"Memory": set("Touch", "TouchRun", "emit"),
+		"Memory":  set("Touch", "TouchRun", "emit"),
+		"PageDir": set("Lookup", "Peek"),
 	},
 }
 

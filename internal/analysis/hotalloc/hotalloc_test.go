@@ -8,5 +8,5 @@ import (
 )
 
 func TestHotAlloc(t *testing.T) {
-	analysistest.Run(t, "../testdata", hotalloc.Analyzer, "hot/cache", "hot/vm", "hot/trace")
+	analysistest.Run(t, "../testdata", hotalloc.Analyzer, "hot/cache", "hot/vm", "hot/trace", "hot/mem")
 }

@@ -110,34 +110,5 @@ func (s *Sharing) event() {
 	s.counts = make(map[uint64]uint64)
 }
 
-// pageDir mirrors the generic page directory: lookup and find are hot
-// under their type-parameterized receiver, materialize is the cold
-// allocation path.
-type pageDir[P any] struct {
-	spans [][]*P
-	last  *P
-}
-
-func (d *pageDir[P]) lookup(idx uint64) *P {
-	if d.last != nil {
-		return d.last
-	}
-	return d.find(idx)
-}
-
-func (d *pageDir[P]) find(idx uint64) *P {
-	if idx < uint64(len(d.spans)) && len(d.spans[idx]) > 0 {
-		d.last = d.spans[idx][0]
-		return d.last
-	}
-	d.last = new(P) // want `new in hot function pageDir.find`
-	return d.materialize(idx)
-}
-
-func (d *pageDir[P]) materialize(idx uint64) *P {
-	d.spans = append(d.spans, make([][]*P, idx+1)...)
-	return new(P)
-}
-
 // Helper is neither a hot receiver nor a hot name: free to allocate.
 func Helper() []byte { return make([]byte, 32) }

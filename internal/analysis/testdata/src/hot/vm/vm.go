@@ -28,14 +28,14 @@ func (s *StackSim) Curve() []uint64 {
 // hot; compact (slot-space growth) is a cold path.
 type fenwick struct {
 	tree  []int32
-	slots pageTable
+	slots [][4096]int32
 }
 
 // access allocates a scratch slice per probe: flagged.
 func (f *fenwick) access(page uint64) int {
 	seen := make([]uint64, 0, 1) // want `make in hot function fenwick.access`
 	seen = append(seen, page)
-	*f.slots.ref(page) = int32(len(seen))
+	f.slots[page>>12][page&4095] = int32(len(seen))
 	return f.prefix(len(f.tree) - 1)
 }
 
@@ -56,26 +56,4 @@ func (f *fenwick) add(i int, delta int32) {
 // compact grows the tree: cold, allocates freely.
 func (f *fenwick) compact() {
 	f.tree = make([]int32, 2*len(f.tree))
-}
-
-type pageTable struct{ dense []*[4096]int32 }
-
-// ref is hot and clean: a missing table page comes from the cold page
-// helper.
-func (t *pageTable) ref(page uint64) *int32 {
-	idx := page >> 12
-	if idx >= uint64(len(t.dense)) || t.dense[idx] == nil {
-		return &t.page(idx)[page&4095]
-	}
-	return &t.dense[idx][page&4095]
-}
-
-// page materializes a table page: cold, allocates freely.
-func (t *pageTable) page(idx uint64) *[4096]int32 {
-	for uint64(len(t.dense)) <= idx {
-		t.dense = append(t.dense, nil)
-	}
-	p := new([4096]int32)
-	t.dense[idx] = p
-	return p
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mallocsim/internal/mem"
 	"mallocsim/internal/rng"
 	"mallocsim/internal/trace"
 )
@@ -166,7 +167,7 @@ func TestGroupBlockEquivalence(t *testing.T) {
 // territory.
 func TestLineSetAddRange(t *testing.T) {
 	r := rng.New(11)
-	span := uint64(1) << (spanPageShift(defaultLineShift) + dirPageShift) // lines per region span
+	span := uint64(mem.RegionSpan) >> defaultLineShift // lines per region span
 	spans := [][2]uint64{
 		{0, 0},
 		{5, 5},
@@ -175,16 +176,16 @@ func TestLineSetAddRange(t *testing.T) {
 		{63, 64},
 		{(1 << dirPageShift) - 2, (1 << dirPageShift) + 2},
 		{3 * (1 << dirPageShift), 5 * (1 << dirPageShift)},
-		{span - 70, span + 70},                           // crosses a region span
-		{5*span + 9, 5*span + 9000},                      // a later span, low pages only
-		{dirDenseSpans*span - 3, dirDenseSpans*span + 3}, // dense → sparse top level
+		{span - 70, span + 70},                     // crosses a region span
+		{5*span + 9, 5*span + 9000},                // a later span, low pages only
+		{denseSpans*span - 3, denseSpans*span + 3}, // dense → sparse top level
 	}
 	for i := 0; i < 40; i++ {
 		first := r.Uint64n(1 << 21)
 		spans = append(spans, [2]uint64{first, first + r.Uint64n(3000)})
 	}
 	// Sparse territory, up to the top of the line space.
-	base := uint64(dirDenseSpans+7)*span + 17
+	base := uint64(denseSpans+7)*span + 17
 	spans = append(spans, [2]uint64{base, base + 100}, [2]uint64{^uint64(0) - 5000, ^uint64(0)})
 
 	ranged, looped := newLineSet(defaultLineShift), newLineSet(defaultLineShift)
@@ -205,7 +206,7 @@ func TestLineSetAddRange(t *testing.T) {
 	// raw pages instead, in both directions.
 	pages := func(s *lineSet) map[uint64]lineSetPage {
 		m := map[uint64]lineSetPage{}
-		s.dir.each(func(idx uint64, p *lineSetPage) {
+		s.dir.Each(func(idx uint64, p *lineSetPage) {
 			if *p != (lineSetPage{}) {
 				m[idx] = *p
 			}

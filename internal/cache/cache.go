@@ -363,19 +363,23 @@ func (r Result) ConflictMisses() uint64 {
 }
 
 // lineSet tracks distinct line numbers with a sparse paged bitset:
-// 4096-line (512-byte) pages in a pageDir, allocated on demand.
+// 4096-line (512-byte) pages in a mem.PageDir, allocated on demand.
 // Compared with map[uint64]struct{} this replaces a hash+insert per
 // line access with a shift, an array index and a bit test, and shrinks
 // the footprint from ~48 bytes to one bit per distinct line.
 type lineSet struct {
-	dir pageDir[lineSetPage]
+	dir mem.PageDir[lineSetPage]
 }
+
+// dirPageShift is log2 of the lines one page of a line-keyed directory
+// (lineSet, Sharing's coherence state) covers.
+const dirPageShift = 12
 
 type lineSetPage [1 << (dirPageShift - 6)]uint64
 
 // newLineSet returns an empty set of 1<<lineShift-byte lines.
 func newLineSet(lineShift uint) *lineSet {
-	return &lineSet{dir: pageDir[lineSetPage]{spanShift: spanPageShift(lineShift)}}
+	return &lineSet{dir: mem.NewPageDir[lineSetPage](lineShift + dirPageShift)}
 }
 
 // add marks line as seen. The distinct count is not maintained here —
@@ -383,7 +387,7 @@ func newLineSet(lineShift uint) *lineSet {
 // and a store; distinct() recovers the count by popcount when a reader
 // (end-of-run results, a sample capture) actually wants it.
 func (s *lineSet) add(line uint64) {
-	p := s.dir.lookup(line >> dirPageShift)
+	p := s.dir.Lookup(line >> dirPageShift)
 	p[(line>>6)&(uint64(len(p))-1)] |= uint64(1) << (line & 63)
 }
 
@@ -393,7 +397,7 @@ func (s *lineSet) add(line uint64) {
 func (s *lineSet) addRange(first, last uint64) {
 	for line := first; ; {
 		idx := line >> dirPageShift
-		p := s.dir.lookup(idx)
+		p := s.dir.Lookup(idx)
 		end := (idx+1)<<dirPageShift - 1
 		if end > last {
 			end = last
@@ -422,7 +426,7 @@ func (s *lineSet) addRange(first, last uint64) {
 // lines added. O(allocated pages), called only from result assembly.
 func (s *lineSet) distinct() uint64 {
 	var n uint64
-	s.dir.each(func(_ uint64, p *lineSetPage) {
+	s.dir.Each(func(_ uint64, p *lineSetPage) {
 		for _, w := range p {
 			n += uint64(bits.OnesCount64(w))
 		}

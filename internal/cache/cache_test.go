@@ -1,11 +1,21 @@
 package cache
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
+	"mallocsim/internal/mem"
 	"mallocsim/internal/trace"
 )
+
+// defaultLineShift is log2 of the machine line size, the split every
+// production directory is built with.
+var defaultLineShift = uint(bits.TrailingZeros64(DefaultLineSize))
+
+// denseSpans is the number of region spans mem.PageDir indexes
+// directly; lines past them live in its sparse map.
+const denseSpans = 1 << 10
 
 func ref(addr uint64) trace.Ref { return trace.Ref{Addr: addr, Size: 4, Kind: trace.Read} }
 
@@ -306,6 +316,37 @@ func TestLineSetPagedBitset(t *testing.T) {
 	}
 	if got := s.distinct(); got != uint64(len(oracle)) {
 		t.Errorf("lineSet count=%d, oracle=%d", got, len(oracle))
+	}
+}
+
+// TestLineSetMultiSpan: distinct over a set spread across region spans
+// and the sparse top level agrees with a map oracle, fed two
+// interleaved line streams that repeat one line per span.
+func TestLineSetMultiSpan(t *testing.T) {
+	lines := uint64(mem.RegionSpan) >> defaultLineShift
+	s := newLineSet(defaultLineShift)
+	if s.distinct() != 0 {
+		t.Fatal("new set not empty")
+	}
+	oracle := map[uint64]bool{}
+	add := func(line uint64) {
+		s.add(line)
+		oracle[line] = true
+	}
+	for r := uint64(1); r <= 12; r++ {
+		base := r*lines + r*37
+		for i := uint64(0); i < 300; i += 3 {
+			add(base + i)
+			add(base + i + 1)
+		}
+		add(base) // repeats a line of the first stream
+	}
+	add(lines - 1)
+	add(lines)
+	add(denseSpans*lines + 5)
+	add(^uint64(0))
+	if got := s.distinct(); got != uint64(len(oracle)) {
+		t.Fatalf("distinct = %d, oracle %d", got, len(oracle))
 	}
 }
 

@@ -35,11 +35,10 @@ type Sharing struct {
 	lineSize  uint64
 	regionOf  func(uint64) int
 
-	pages pageDir[sharePage] // per-line coherence state
+	pages mem.PageDir[sharePage] // per-line coherence state
 	// counts holds one page of per-tid rows per region, indexed by
-	// region: a dense table for the first dirDenseSpans regions (the
-	// zero span shift gives each region a top-level entry), a map past.
-	counts    pageDir[[64]shareCount]
+	// region: the zero directory gives each region its own span.
+	counts    mem.PageDir[[64]shareCount]
 	pingLines *lineSet
 	trueEv    uint64
 	falseEv   uint64
@@ -94,7 +93,7 @@ func NewSharing(cfg SharingConfig) *Sharing {
 		lineShift: shift,
 		lineSize:  cfg.LineSize,
 		regionOf:  cfg.RegionOf,
-		pages:     pageDir[sharePage]{spanShift: spanPageShift(shift)},
+		pages:     mem.NewPageDir[sharePage](shift + dirPageShift),
 		pingLines: newLineSet(shift),
 	}
 }
@@ -214,7 +213,7 @@ func (s *Sharing) runRow(addr uint64, size uint32, k trace.Kind, n uint32, tid u
 // event (if any) is classified against, update the word mask a write
 // deposits. For plain references the two coincide.
 func (s *Sharing) accessLine(line, classify, update uint64, write bool, tid uint8) {
-	p := s.pages.lookup(line >> dirPageShift)
+	p := s.pages.Lookup(line >> dirPageShift)
 	i := line & (sharePageLines - 1)
 	t := tid & 63
 	bit := uint64(1) << t
@@ -250,7 +249,7 @@ func (s *Sharing) event(line uint64, tid uint8, isTrue bool) {
 	if s.regionOf != nil {
 		region = max(s.regionOf(line<<s.lineShift), 0)
 	}
-	c := &s.counts.lookup(uint64(region))[tid]
+	c := &s.counts.Lookup(uint64(region))[tid]
 	if isTrue {
 		s.trueEv++
 		c.trueEv++
@@ -290,7 +289,7 @@ func (s *Sharing) Events() uint64 { return s.trueEv + s.falseEv }
 // the stream is flushed.
 func (s *Sharing) Report() SharingReport {
 	var rows []SharingRow
-	s.counts.each(func(region uint64, c *[64]shareCount) {
+	s.counts.Each(func(region uint64, c *[64]shareCount) {
 		for tid, n := range c {
 			if n.trueEv+n.falseEv != 0 {
 				rows = append(rows, SharingRow{Region: int(region), Tid: uint8(tid), True: n.trueEv, False: n.falseEv})

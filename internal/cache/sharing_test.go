@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"mallocsim/internal/mem"
@@ -214,4 +216,69 @@ func TestSharingSingleThreadSilent(t *testing.T) {
 	if rep.True != 0 || rep.False != 0 || rep.PingLines != 0 || len(rep.Rows) != 0 {
 		t.Fatalf("single-threaded stream produced sharing events: %+v", rep)
 	}
+}
+
+// serverLayout builds a mem.Memory with a server pair's region layout —
+// three allocator regions, eight 64 KB thread stacks and the globals —
+// and one block that writes a run into every region as thread 0 and
+// reads its first word back as thread 1, so a Sharing fires exactly one
+// event per region.
+func serverLayout(t testing.TB) (*mem.Memory, *trace.Block) {
+	m := mem.New(nil, nil)
+	for _, name := range []string{"heap", "info", "state"} {
+		m.NewRegion(name, 0)
+	}
+	for i := 0; i < 8; i++ {
+		m.NewRegion(fmt.Sprintf("stack%d", i), 64<<10)
+	}
+	m.NewRegion("globals", 0)
+	b := &trace.Block{}
+	for _, r := range m.Regions() {
+		base, err := r.Sbrk(16 << 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.AppendRunTid(base, mem.WordSize, trace.Write, 64, 0)
+		b.Append(trace.Ref{Addr: base, Size: mem.WordSize, Tid: 1})
+		b.Append(trace.Ref{Addr: r.Brk() - mem.WordSize, Size: mem.WordSize, Kind: trace.Write, Tid: 2})
+	}
+	return m, b
+}
+
+// TestMultiRegionTablesStaySmall: a block touching every region of a
+// server pair's layout must not grow tables with the highest region's
+// address. A flat table indexed by line page reached ~8 MB of page
+// pointers per table (Group's cold-line set, Sharing's coherence pages
+// and its ping lines); the directory needs a few short span tables,
+// leaving the coherence pages themselves (68 KB per touched region) as
+// the bulk of the allocation.
+func TestMultiRegionTablesStaySmall(t *testing.T) {
+	m, b := serverLayout(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g := NewGroup(Config{Size: 4 << 10}, Config{Size: 16 << 10}, Config{Size: 64 << 10})
+	s := NewSharing(SharingConfig{RegionOf: m.RegionIndex})
+	g.Block(b)
+	s.Block(b)
+	runtime.ReadMemStats(&after)
+	rep := s.Report()
+	if n := len(m.Regions()); rep.False+rep.True != uint64(n) || len(rep.Rows) != n {
+		t.Fatalf("want one event and one row per region (%d), got %+v", n, rep)
+	}
+	for i, row := range rep.Rows {
+		if row.Region != i || row.Tid != 1 {
+			t.Fatalf("row %d = %+v, want region %d, tid 1", i, row, i)
+		}
+	}
+	if g.DistinctLines() == 0 {
+		t.Fatal("group saw no lines")
+	}
+	const limit = 2 << 20
+	pages := uint64(len(m.Regions())) * uint64(reflect.TypeOf(sharePage{}).Size())
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if alloc > limit {
+		t.Fatalf("one multi-region block allocated %d bytes (coherence pages alone %d), want <= %d",
+			alloc, pages, limit)
+	}
+	t.Logf("allocated %d bytes, %d of them coherence pages", alloc, pages)
 }

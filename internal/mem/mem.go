@@ -36,7 +36,8 @@ const (
 
 	// PageSize is the backing-store granularity and also the page size
 	// used by the paper's VM experiments (4 KB).
-	PageSize = 4096
+	PageSize  = 1 << pageShift
+	pageShift = 12
 
 	// LineSize is the cache block size of the paper's test vehicle
 	// (32-byte blocks on the DECstation's R3000). The cache simulators
@@ -47,9 +48,10 @@ const (
 
 	// RegionSpan is the virtual address spacing between region bases
 	// (see NewRegion) and the largest size a region may grow to: 4 GiB,
-	// so a region-relative offset fits a 32-bit word. Simulators that
-	// key per-address state by region split their tables at it.
-	RegionSpan = 1 << 32
+	// so a region-relative offset fits a 32-bit word. PageDir splits its
+	// tables at it.
+	RegionSpan  = 1 << regionShift
+	regionShift = 32
 
 	// regionStagger offsets region i's base by i·regionStagger within
 	// its span (see NewRegion).
@@ -78,10 +80,14 @@ var ErrBadAddress = errors.New("mem: address outside allocated region")
 // at block boundaries to an eighth of a 256-ref buffer's.
 const DefaultBatchSize = 2048
 
+// InstrPerAccess is the instruction charge per word access: one load or
+// store instruction.
+const InstrPerAccess = 1
+
 // Memory is a sparse simulated address space. It is not safe for
 // concurrent use; each simulation run owns one Memory.
 type Memory struct {
-	pages   map[uint64]*[PageSize]byte
+	pages   PageDir[[PageSize]byte]
 	regions []*Region
 	sink    trace.Sink
 	meter   *cost.Meter
@@ -114,10 +120,6 @@ type Memory struct {
 	curTid uint8
 	tidOn  bool
 
-	// InstrPerAccess is the instruction charge per word access.
-	// Default 1 (a load or store instruction).
-	InstrPerAccess uint64
-
 	// DefaultRegionLimit caps regions created with limit 0. It exists
 	// for failure-injection tests: a small default limit drives every
 	// allocator's out-of-memory paths without special constructors.
@@ -133,10 +135,9 @@ func New(sink trace.Sink, meter *cost.Meter) *Memory {
 		sink = trace.Discard
 	}
 	return &Memory{
-		pages:          make(map[uint64]*[PageSize]byte),
-		sink:           sink,
-		meter:          meter,
-		InstrPerAccess: 1,
+		pages: NewPageDir[[PageSize]byte](pageShift),
+		sink:  sink,
+		meter: meter,
 	}
 }
 
@@ -357,7 +358,7 @@ func (m *Memory) Footprint() uint64 {
 
 // TouchedPages returns the number of distinct backing pages materialized
 // so far (pages actually referenced, across all regions).
-func (m *Memory) TouchedPages() int { return len(m.pages) }
+func (m *Memory) TouchedPages() int { return m.pages.Len() }
 
 // Name returns the region's name.
 func (r *Region) Name() string { return r.name }
@@ -402,16 +403,6 @@ func (r *Region) charge(n uint64) {
 	}
 }
 
-func (m *Memory) page(addr uint64) *[PageSize]byte {
-	pn := PageOf(addr)
-	p := m.pages[pn]
-	if p == nil {
-		p = new([PageSize]byte)
-		m.pages[pn] = p
-	}
-	return p
-}
-
 func (m *Memory) checkAddr(addr uint64, n uint32) {
 	// A word access must lie inside some region's allocated span.
 	// Out-of-range accesses are programming errors in an allocator and
@@ -430,10 +421,10 @@ func (m *Memory) ReadWord(addr uint64) uint64 {
 	}
 	m.checkAddr(addr, WordSize)
 	if m.meter != nil {
-		m.meter.Charge(m.InstrPerAccess)
+		m.meter.Charge(InstrPerAccess)
 	}
 	m.emit(trace.Ref{Addr: addr, Size: WordSize, Kind: trace.Read})
-	p := m.page(addr)
+	p := m.pages.Lookup(PageOf(addr))
 	off := PageOffset(addr)
 	return uint64(binary.LittleEndian.Uint32(p[off : off+WordSize]))
 }
@@ -448,7 +439,7 @@ func (m *Memory) PeekWord(addr uint64) uint64 {
 		panic(fmt.Sprintf("mem: unaligned word read at %#x", addr))
 	}
 	m.checkAddr(addr, WordSize)
-	p := m.pages[PageOf(addr)]
+	p := m.pages.Peek(PageOf(addr))
 	if p == nil {
 		return 0
 	}
@@ -469,10 +460,10 @@ func (m *Memory) WriteWord(addr, val uint64) {
 	}
 	m.checkAddr(addr, WordSize)
 	if m.meter != nil {
-		m.meter.Charge(m.InstrPerAccess)
+		m.meter.Charge(InstrPerAccess)
 	}
 	m.emit(trace.Ref{Addr: addr, Size: WordSize, Kind: trace.Write})
-	p := m.page(addr)
+	p := m.pages.Lookup(PageOf(addr))
 	off := PageOffset(addr)
 	binary.LittleEndian.PutUint32(p[off:off+WordSize], uint32(val))
 }
@@ -511,7 +502,7 @@ func (r *Region) DecodePtr(word uint64) uint64 {
 // irrelevant — only their addresses matter to the locality simulators.
 func (m *Memory) Touch(addr uint64, n uint32, k trace.Kind) {
 	if m.meter != nil {
-		m.meter.Charge(m.InstrPerAccess)
+		m.meter.Charge(InstrPerAccess)
 	}
 	m.emit(trace.Ref{Addr: addr, Size: n, Kind: k})
 }
@@ -532,7 +523,7 @@ func (m *Memory) TouchRun(addr uint64, n uint64, k trace.Kind) {
 		return
 	}
 	if m.meter != nil {
-		m.meter.Charge(n * m.InstrPerAccess)
+		m.meter.Charge(n * InstrPerAccess)
 	}
 	if m.addrs == nil || m.direct != nil ||
 		n >= 1<<62 || addr+n*WordSize-1 < addr {

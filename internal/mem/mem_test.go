@@ -323,6 +323,58 @@ func TestFootprintAndPages(t *testing.T) {
 	}
 }
 
+// TestTouchedPagesAcrossSpans: PeekWord of a never-written word reads 0
+// and materializes no page; TouchedPages counts the distinct pages that
+// WriteWord and ReadWord touched, across two regions and across the
+// span boundary of a region grown past its first span; and every word
+// written there reads back.
+func TestTouchedPagesAcrossSpans(t *testing.T) {
+	m := New(nil, nil)
+	a := m.NewRegion("a", 0)
+	b := m.NewRegion("b", 0)
+	aBase, err := a.Sbrk(PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge := (b.Base()/RegionSpan + 1) * RegionSpan // end of b's first span
+	if _, err := b.Sbrk(edge - b.Brk() + 2*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	addrs := []uint64{aBase, aBase + WordSize, b.Base() + RegionReserve, edge - WordSize, edge, edge + WordSize}
+	const pages = 4 // a's page, b's first page, and one page on each side of the edge
+	for _, addr := range addrs {
+		if v := m.PeekWord(addr); v != 0 {
+			t.Fatalf("PeekWord(%#x) = %d before any write", addr, v)
+		}
+	}
+	if n := m.TouchedPages(); n != 0 {
+		t.Fatalf("PeekWord materialized %d pages", n)
+	}
+	for i, addr := range addrs {
+		m.WriteWord(addr, uint64(i+1))
+	}
+	if n := m.TouchedPages(); n != pages {
+		t.Fatalf("touched pages = %d after the writes, want %d", n, pages)
+	}
+	for i, addr := range addrs {
+		if got := m.ReadWord(addr); got != uint64(i+1) {
+			t.Errorf("ReadWord(%#x) = %d, want %d", addr, got, i+1)
+		}
+		if got := m.PeekWord(addr); got != uint64(i+1) {
+			t.Errorf("PeekWord(%#x) = %d, want %d", addr, got, i+1)
+		}
+	}
+	if v := m.PeekWord(aBase + 2*WordSize); v != 0 {
+		t.Errorf("never-written word in a touched page reads %d", v)
+	}
+	if v := m.PeekWord(edge + PageSize); v != 0 {
+		t.Errorf("never-written word in an untouched page reads %d", v)
+	}
+	if n := m.TouchedPages(); n != pages {
+		t.Errorf("touched pages = %d after the reads, want %d", n, pages)
+	}
+}
+
 // Property: words written at distinct aligned addresses are all
 // independently recoverable (no aliasing between pages or regions).
 func TestQuickWordIndependence(t *testing.T) {

@@ -1,5 +1,11 @@
 package vm
 
+import (
+	"math/bits"
+
+	"mallocsim/internal/mem"
+)
+
 // Two-tier exact LRU stack: a short recency ring over a Fenwick-tree
 // stack-distance engine (Bennett & Kruskal's algorithm, the classic
 // fast implementation of stack simulation that the paper's VMSIM
@@ -21,7 +27,7 @@ package vm
 // moves. When the slot space fills, the live slots are compacted back
 // to a dense prefix (amortized O(1) per demotion).
 //
-// One paged-sparse table, directly indexed by page number, locates a
+// One mem.PageDir of tier entries, indexed by page number, locates a
 // page in either tier: 0 unseen, > 0 tree slot+1, < 0 in the ring.
 
 // ringSize is the ring tier's capacity: a power of two, so ring
@@ -31,8 +37,13 @@ package vm
 const (
 	ringSize = 32
 	ringMask = ringSize - 1
-	inRing   = -1 // pageTable value of a page held by the ring
+	inRing   = -1 // tier entry of a page held by the ring
 )
+
+// slotPage holds the tier entries of 1<<slotPageShift consecutive pages.
+type slotPage [1 << slotPageShift]int32
+
+const slotPageShift = 12
 
 type fenwick struct {
 	ring   [ringSize]uint64 // ring[(head+d)&ringMask] is the page at distance d
@@ -40,7 +51,7 @@ type fenwick struct {
 	rlen   int      // pages in the ring; the tree is used once it is full
 	tree   []int32  // 1-based Fenwick tree: tree of live-slot flags
 	pageOf []uint64 // slot -> page, for compaction
-	slots  pageTable
+	slots  mem.PageDir[slotPage]
 	n      int // live (distinct) pages, both tiers
 	next   int // next unused slot; next <= len(pageOf)
 }
@@ -51,7 +62,15 @@ func newFenwick() *fenwick {
 	return &fenwick{
 		tree:   make([]int32, fenwickMinCap+1),
 		pageOf: make([]uint64, fenwickMinCap),
+		slots:  mem.NewPageDir[slotPage](slotPageShift + uint(bits.TrailingZeros64(mem.PageSize))),
 	}
+}
+
+// entry returns page's tier entry, materializing its table page on
+// first touch. The pointer stays valid across compaction, which
+// rewrites entries but never moves table pages.
+func (f *fenwick) entry(page uint64) *int32 {
+	return &f.slots.Lookup(page >> slotPageShift)[page&(1<<slotPageShift-1)]
 }
 
 func (f *fenwick) len() int { return f.n }
@@ -59,11 +78,9 @@ func (f *fenwick) len() int { return f.n }
 // access returns the stack distance of page (or -1 if new) and promotes
 // it to most recently used.
 func (f *fenwick) access(page uint64) int {
-	// One combined lookup for the read-modify-write: resolving the
-	// two-level table once and writing through the pointer halves the
-	// table walks on the hot path. The pointer stays valid across
-	// compaction, which rewrites entries but never moves table pages.
-	ref := f.slots.ref(page)
+	// One lookup for the read-modify-write: the entry pointer outlives
+	// a compaction below.
+	ref := f.entry(page)
 	if *ref == inRing {
 		// Carry the page down the ring from the front: each cell takes
 		// its predecessor until the page's own cell is reached.
@@ -103,7 +120,7 @@ func (f *fenwick) access(page uint64) int {
 		f.next++
 		f.add(slot+1, 1)
 		f.pageOf[slot] = tail
-		f.slots.set(tail, int32(slot+1))
+		*f.entry(tail) = int32(slot + 1)
 	} else {
 		f.rlen++
 	}
@@ -150,12 +167,14 @@ func (f *fenwick) compact() {
 	}
 	j := 0
 	for slot := 0; slot < f.next; slot++ {
+		// Every page that held a slot has its table page: Peek finds it.
 		page := f.pageOf[slot]
-		if f.slots.get(page) != int32(slot+1) {
+		e := &f.slots.Peek(page >> slotPageShift)[page&(1<<slotPageShift-1)]
+		if *e != int32(slot+1) {
 			continue
 		}
 		pageOf[j] = page
-		f.slots.set(page, int32(j+1))
+		*e = int32(j + 1)
 		j++
 	}
 	f.pageOf = pageOf
@@ -168,82 +187,4 @@ func (f *fenwick) compact() {
 	for i := 1; i < len(f.tree); i++ {
 		f.tree[i] = int32(min(i, j) - min(i-i&-i, j))
 	}
-}
-
-// pageTable maps page numbers to int32 values with the same two-level
-// layout as cache.lineSet: pages of 4096 entries, directly indexed
-// below the dense limit, in a map above it. Simulated heaps sit in the
-// low few GB of the address space, so the common case is one shift,
-// one bounds check and one store.
-type pageTable struct {
-	dense  []*pageTablePage
-	sparse map[uint64]*pageTablePage
-}
-
-const (
-	pageTableShift      = 12
-	pageTableDenseLimit = 1 << 15
-)
-
-type pageTablePage [1 << pageTableShift]int32
-
-func (t *pageTable) get(page uint64) int32 {
-	idx := page >> pageTableShift
-	var p *pageTablePage
-	if idx < uint64(len(t.dense)) {
-		p = t.dense[idx]
-	} else if t.sparse != nil {
-		p = t.sparse[idx]
-	}
-	if p == nil {
-		return 0
-	}
-	return p[page&(1<<pageTableShift-1)]
-}
-
-func (t *pageTable) set(page uint64, v int32) {
-	*t.ref(page) = v
-}
-
-// ref returns a pointer to the page's entry, allocating its table page
-// if needed — one two-level walk for a read-modify-write access.
-func (t *pageTable) ref(page uint64) *int32 {
-	idx := page >> pageTableShift
-	var p *pageTablePage
-	if idx < uint64(len(t.dense)) {
-		p = t.dense[idx]
-	} else if idx >= pageTableDenseLimit && t.sparse != nil {
-		p = t.sparse[idx]
-	}
-	if p == nil {
-		p = t.page(idx)
-	}
-	return &p[page&(1<<pageTableShift-1)]
-}
-
-func (t *pageTable) page(idx uint64) *pageTablePage {
-	p := new(pageTablePage)
-	if idx < pageTableDenseLimit {
-		if idx >= uint64(len(t.dense)) {
-			// Grow geometrically so increasing page indices don't recopy
-			// the pointer table once per new page.
-			size := idx + 1
-			if min := 2 * uint64(len(t.dense)); size < min {
-				size = min
-			}
-			if size > pageTableDenseLimit {
-				size = pageTableDenseLimit
-			}
-			grown := make([]*pageTablePage, size)
-			copy(grown, t.dense)
-			t.dense = grown
-		}
-		t.dense[idx] = p
-		return p
-	}
-	if t.sparse == nil {
-		t.sparse = make(map[uint64]*pageTablePage)
-	}
-	t.sparse[idx] = p
-	return p
 }

@@ -17,11 +17,18 @@
 # integrity-checked), so the benchmark trajectory is queryable
 # alongside run reports and paper tables.
 #
+# The run is BENCH_COUNT whole passes: each pass runs every
+# micro-benchmark once and then every matrix benchmark once (-count 1),
+# so a slow minute on the host lands on one sample of every benchmark
+# instead of on all samples of one. With the samples of each benchmark
+# taken back to back, two snapshots minutes apart moved benchmarks whose
+# code had not changed by -17% to +36%.
+#
 # After the run, the new snapshot is compared benchstat-style against
 # the most recent snapshot already in the baseline store: per
 # benchmark, the median ns/op of each side's samples, the delta between
-# the medians and the sample counts. Every benchmark runs BENCH_COUNT
-# times, because one run of any of them moves by tens of percent with
+# the medians and the sample counts. Every benchmark gets BENCH_COUNT
+# samples, because one run of any of them moves by tens of percent with
 # host noise alone, so every row of the table compares medians; a
 # baseline holding a single sample counts as its own median. With
 # BENCH_CHECK=1 the script exits 3 when the median of
@@ -36,8 +43,9 @@
 #                          full-matrix RunAll benchmark honours it)
 #   BENCH_TIME             -benchtime for the micro-benchmarks
 #                          (default 1s; RunAll always runs 1x)
-#   BENCH_COUNT            runs of every benchmark (default 5); the
-#                          table and the gate compare their medians
+#   BENCH_COUNT            passes over all benchmarks (default 5): the
+#                          samples of each, whose medians the table
+#                          and the gate compare
 #   BENCH_OUT              output directory (default bench/)
 #   BENCH_TAG              optional snapshot tag appended to the stamp
 #   BENCH_BASELINE_STORE   store to compare against and ingest into
@@ -82,23 +90,29 @@ if [ -d "$baseline" ]; then
   fi
 fi
 
-micro='BenchmarkWorkloadSynthesis$|BenchmarkCacheDirectMapped$|BenchmarkCacheGroupSweep$|BenchmarkCacheGroupBlockSweep$|BenchmarkCacheGroupPairReplay$|BenchmarkSharingMultiRegion$|BenchmarkStackSimRef$|BenchmarkStackSimSweepExact$|BenchmarkStackSimPairReplay$'
+micro='BenchmarkWorkloadSynthesis$|BenchmarkAllocatorPairReplay$|BenchmarkCacheDirectMapped$|BenchmarkCacheGroupSweep$|BenchmarkCacheGroupBlockSweep$|BenchmarkCacheGroupPairReplay$|BenchmarkSharingMultiRegion$|BenchmarkStackSimRef$|BenchmarkStackSimSweepExact$|BenchmarkStackSimPairReplay$'
 matrix='BenchmarkRunAllParallel$|BenchmarkServerWorkload$'
 
 {
-  # Micro-benchmarks: the workload stage (program and server drivers
-  # with their allocators and mem emit, into a row-counting sink, and
-  # one program bundled over the five paper allocators),
-  # cache simulator hot paths (per-ref and columnar block delivery,
-  # and the cache group's replay of a recorded gs/firstfit stream), the sharing attributor over a server pair's
-  # multi-region layout, and the LRU stack engine (per-ref, block, and
-  # the replay of the same recorded stream).
-  # BENCH_COUNT samples each, so the table compares medians.
-  go test -run '^$' -bench "$micro" -benchtime "$benchtime" -count "$count" .
-  # Full experiment matrix through the parallel runner, plus the
-  # concurrent server sweep: one iteration per sample (they regenerate
-  # whole experiment tables per op), BENCH_COUNT samples for the gate.
-  go test -run '^$' -bench "$matrix" -benchtime 1x -count "$count" .
+  pass=1
+  while [ "$pass" -le "$count" ]; do
+    # Micro-benchmarks: the workload stage (program and server drivers
+    # with their allocators and mem emit, into a row-counting sink, and
+    # one program bundled over the five paper allocators), the
+    # allocator stage (a recorded gs/firstfit op stream replayed into
+    # firstfit on a batched Memory), cache simulator hot paths (per-ref
+    # and columnar block delivery, and the cache group's replay of a
+    # recorded gs/firstfit reference stream), the sharing attributor
+    # over a server pair's multi-region layout, and the LRU stack
+    # engine (per-ref, block, and the replay of the same recorded
+    # stream).
+    go test -run '^$' -bench "$micro" -benchtime "$benchtime" -count 1 .
+    # Full experiment matrix through the parallel runner, plus the
+    # concurrent server sweep: one iteration per sample (they
+    # regenerate whole experiment tables per op).
+    go test -run '^$' -bench "$matrix" -benchtime 1x -count 1 .
+    pass=$((pass + 1))
+  done
 } | tee "$txt"
 
 # Distil the raw output into JSON without external dependencies.
