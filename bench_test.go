@@ -657,7 +657,10 @@ func BenchmarkSharingMultiRegion(b *testing.B) {
 
 // BenchmarkTeeBatch compares synchronous per-ref delivery against the
 // batched ring-buffer path through a realistic fan-out (counter + cache
-// group + filter), measured per simulated reference.
+// group + filter), measured per simulated reference. Batched, the
+// counter and group take columnar blocks while the filter, a plain
+// Sink, stays on the synchronous tier, so each reference pays one
+// direct call beside its buffer append.
 func BenchmarkTeeBatch(b *testing.B) {
 	mkSink := func() trace.Sink {
 		g := cache.NewGroup(cache.Config{Size: 16 << 10}, cache.Config{Size: 64 << 10})

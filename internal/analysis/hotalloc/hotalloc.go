@@ -55,7 +55,7 @@ var hotFuncs = map[string]map[string]map[string]bool{
 		"Group":   set("Ref", "accessLine", "Block", "fusedScan", "probeEntry", "probeRun", "decompose", "replay"),
 		"Cache":   set("Ref", "Block", "accessLine", "accessLineRun"),
 		"lineSet": set("add", "addRange"),
-		"Sharing": set("Ref", "Refs", "Block", "access", "runRow", "accessLine"),
+		"Sharing": set("Ref", "Block", "access", "runRow", "accessLine"),
 	},
 	"vm": {
 		"StackSim": set("Ref", "Block", "foldRepeats", "accessPage", "record"),

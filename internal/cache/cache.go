@@ -15,6 +15,7 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -197,13 +198,6 @@ func (c *Cache) Ref(r trace.Ref) {
 		if line == last {
 			break
 		}
-	}
-}
-
-// Refs implements trace.BatchSink.
-func (c *Cache) Refs(batch []trace.Ref) {
-	for _, r := range batch {
-		c.Ref(r)
 	}
 }
 
@@ -436,12 +430,12 @@ func (s *lineSet) distinct() uint64 {
 
 // Group feeds one reference stream to several cache configurations and
 // tracks the distinct-line (cold miss) count once for all of them. It
-// implements trace.Sink, trace.BatchSink and trace.BlockSink, with three
-// delivery paths that all produce identical counters:
+// implements trace.Sink and trace.BlockSink, with three delivery paths
+// that all produce identical counters:
 //
-//   - Ref (and Refs) splits each reference into lines and probes every
-//     member line by line. It serves unbatched pipelines, where a
-//     mem.Memory without SetBatching delivers one reference at a time
+//   - Ref splits each reference into lines and probes every member
+//     line by line. It serves unbatched pipelines, where a mem.Memory
+//     without SetBatching delivers one reference at a time
 //     (examples/custom).
 //   - Block on a fused group (every member direct mapped,
 //     write-allocate, no flush interval: the paper's configuration) runs
@@ -488,21 +482,38 @@ type Group struct {
 	probeOrder []int
 }
 
-// NewGroup builds a group over the given configurations. All configs
-// must share one line size (the paper's experiments all use 32 bytes).
-func NewGroup(cfgs ...Config) *Group {
+// ValidateGroup checks the rules NewGroup enforces by panicking — at
+// least one configuration, each valid, all sharing one line size — and
+// returns a descriptive error for the first violation. Like
+// Config.Validate it builds no tag arrays, so it is cheap on untrusted
+// cache lists of any size.
+func ValidateGroup(cfgs ...Config) error {
 	if len(cfgs) == 0 {
-		panic("cache: empty group")
+		return errors.New("cache: empty group")
+	}
+	lineSize := cfgs[0].withDefaults().LineSize
+	for i, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			return err
+		}
+		if ls := cfg.withDefaults().LineSize; ls != lineSize {
+			return fmt.Errorf("cache: group configs must share a line size (config %d has %d, config 0 has %d)", i, ls, lineSize)
+		}
+	}
+	return nil
+}
+
+// NewGroup builds a group over the given configurations, which must
+// pass ValidateGroup (the paper's experiments all use 32-byte lines).
+func NewGroup(cfgs ...Config) *Group {
+	if err := ValidateGroup(cfgs...); err != nil {
+		panic(err.Error())
 	}
 	g := &Group{fused: true, rleOK: true}
-	var lineSize uint64
-	for _, cfg := range cfgs {
+	for i, cfg := range cfgs {
 		c := New(cfg)
-		if lineSize == 0 {
-			lineSize = c.cfg.LineSize
+		if i == 0 {
 			g.lineShift = c.lineShift
-		} else if c.cfg.LineSize != lineSize {
-			panic("cache: group configs must share a line size")
 		}
 		if c.cfg.NoWriteAllocate || c.cfg.FlushInterval != 0 {
 			g.rleOK = false
@@ -579,13 +590,6 @@ func (g *Group) accessLine(line uint64, write bool) {
 	}
 	for _, c := range g.caches {
 		c.accessLine(line, write)
-	}
-}
-
-// Refs implements trace.BatchSink.
-func (g *Group) Refs(batch []trace.Ref) {
-	for _, r := range batch {
-		g.Ref(r)
 	}
 }
 

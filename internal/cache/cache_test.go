@@ -198,6 +198,27 @@ func TestGroupMixedLineSizePanics(t *testing.T) {
 	NewGroup(Config{Size: 128, LineSize: 32}, Config{Size: 128, LineSize: 16})
 }
 
+// TestValidateGroup: the error-returning form of NewGroup's rules
+// rejects what NewGroup panics on and accepts a default line size next
+// to an explicit one of the same width.
+func TestValidateGroup(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfgs []Config
+		ok   bool
+	}{
+		{"empty", nil, false},
+		{"invalid-member", []Config{{Size: 128}, {Size: 100}}, false},
+		{"mixed-line-sizes", []Config{{Size: 128, LineSize: 32}, {Size: 128, LineSize: 16}}, false},
+		{"default-and-explicit", []Config{{Size: 128}, {Size: 256, LineSize: DefaultLineSize, Assoc: 2}}, true},
+	} {
+		err := ValidateGroup(tc.cfgs...)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: ValidateGroup = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 // Property: for any reference stream, a larger cache of equal geometry
 // never misses more than a smaller one... (not true in general for
 // direct-mapped caches! Belady anomalies exist for conflict misses).
@@ -347,39 +368,5 @@ func TestLineSetMultiSpan(t *testing.T) {
 	add(^uint64(0))
 	if got := s.distinct(); got != uint64(len(oracle)) {
 		t.Fatalf("distinct = %d, oracle %d", got, len(oracle))
-	}
-}
-
-// TestGroupBatchEquivalence feeds one random stream to two identical
-// groups — one per-ref, one in batches — and requires identical state.
-func TestGroupBatchEquivalence(t *testing.T) {
-	mk := func() *Group {
-		return NewGroup(Config{Size: 1 << 10}, Config{Size: 4 << 10}, Config{Size: 16 << 10, Assoc: 2})
-	}
-	single, batched := mk(), mk()
-	seed := uint64(7)
-	var batch []trace.Ref
-	for i := 0; i < 50000; i++ {
-		seed = seed*6364136223846793005 + 1442695040888963407
-		r := trace.Ref{Addr: (seed >> 16) % (1 << 21), Size: uint32(4 + (seed>>8)%64)}
-		if seed%3 == 0 {
-			r.Kind = trace.Write
-		}
-		single.Ref(r)
-		batch = append(batch, r)
-		if len(batch) == 113 {
-			batched.Refs(batch)
-			batch = batch[:0]
-		}
-	}
-	batched.Refs(batch)
-	if single.DistinctLines() != batched.DistinctLines() {
-		t.Errorf("distinct lines: %d vs %d", single.DistinctLines(), batched.DistinctLines())
-	}
-	a, b := single.Results(), batched.Results()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("cache %d: %+v vs %+v", i, a[i], b[i])
-		}
 	}
 }

@@ -54,13 +54,6 @@ func (h *Hierarchy) Ref(r trace.Ref) {
 	}
 }
 
-// Refs implements trace.BatchSink.
-func (h *Hierarchy) Refs(batch []trace.Ref) {
-	for _, r := range batch {
-		h.Ref(r)
-	}
-}
-
 func (h *Hierarchy) accessLine(line uint64, write bool) {
 	h.accesses++
 	l1Before := h.L1.misses

@@ -20,10 +20,10 @@ import (
 // placement artifact an allocator controls). Events are attributed per
 // region×thread, the axis the server experiment tables report.
 //
-// Sharing implements trace.Sink, trace.BatchSink and trace.BlockSink.
-// Classification depends only on the reference values and their order,
-// so deferred columnar delivery is sound. Like the other simulators it
-// is not safe for concurrent use.
+// Sharing implements trace.Sink and trace.BlockSink. Classification
+// depends only on the reference values and their order, so deferred
+// columnar delivery is sound. Like the other simulators it is not safe
+// for concurrent use.
 //
 // Thread identities come from trace.Ref.Tid / trace.Block.Tids. Holder
 // sets are 64-bit masks, so tids alias modulo 64; workloads stay well
@@ -107,13 +107,6 @@ func wordSpanMask(w0, w1 uint64) uint64 {
 // Ref implements trace.Sink.
 func (s *Sharing) Ref(r trace.Ref) {
 	s.access(r.Addr, r.Size, r.Kind, r.Tid)
-}
-
-// Refs implements trace.BatchSink.
-func (s *Sharing) Refs(batch []trace.Ref) {
-	for _, r := range batch {
-		s.access(r.Addr, r.Size, r.Kind, r.Tid)
-	}
 }
 
 // Block implements trace.BlockSink. Aligned run rows are folded to one

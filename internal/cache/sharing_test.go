@@ -161,11 +161,11 @@ func genTidBlocks(seed uint64, n, rows, tids int) []*trace.Block {
 // "regions" so the attribution rows exercise multiple region indices.
 func testRegionOf(addr uint64) int { return int(addr >> 20) }
 
-// TestSharingOracleEquivalence: every delivery tier of the attributor —
-// per-Ref, batched slices, and columnar blocks with folded run rows —
-// must reproduce the naive per-Ref oracle exactly, across line- and
-// page-spanning refs, clamped top-of-address-space refs, multiple
-// line sizes and several thread counts.
+// TestSharingOracleEquivalence: both delivery tiers of the attributor —
+// per-Ref, and columnar blocks with folded run rows — must reproduce
+// the naive per-Ref oracle exactly, across line- and page-spanning
+// refs, clamped top-of-address-space refs, multiple line sizes and
+// several thread counts.
 func TestSharingOracleEquivalence(t *testing.T) {
 	for _, lineSize := range []uint64{32, 64, 128} {
 		for _, tids := range []int{1, 2, 5, 64} {
@@ -187,14 +187,12 @@ func TestSharingOracleEquivalence(t *testing.T) {
 				for _, r := range refs {
 					byRef.Ref(r)
 				}
-				byBatch := NewSharing(cfg)
-				byBatch.Refs(refs)
 				byBlock := NewSharing(cfg)
 				for _, b := range blocks {
 					byBlock.Block(b)
 				}
 
-				for name, s := range map[string]*Sharing{"ref": byRef, "refs": byBatch, "block": byBlock} {
+				for name, s := range map[string]*Sharing{"ref": byRef, "block": byBlock} {
 					if got := s.Report(); !reflect.DeepEqual(got, want) {
 						t.Fatalf("line=%d tids=%d seed=%d: %s tier diverged from oracle:\ngot:  %+v\nwant: %+v",
 							lineSize, tids, seed, name, got, want)

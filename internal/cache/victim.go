@@ -70,13 +70,6 @@ func (v *VictimCache) Ref(r trace.Ref) {
 	}
 }
 
-// Refs implements trace.BatchSink.
-func (v *VictimCache) Refs(batch []trace.Ref) {
-	for _, r := range batch {
-		v.Ref(r)
-	}
-}
-
 func (v *VictimCache) accessLine(line uint64) {
 	v.accesses++
 	set := line & v.setMask

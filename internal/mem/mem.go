@@ -95,8 +95,7 @@ type Memory struct {
 	// Batched reference delivery (see SetBatching): emitted references
 	// accumulate in the columnar ring buffer (addrs/sizes/kinds/runs,
 	// one row per reference — or per word run, see TouchRun) and are
-	// handed at flush boundaries as one trace.Block to each BlockSink
-	// and as a materialized []Ref slice to each remaining BatchSink;
+	// handed at flush boundaries as one trace.Block to each BlockSink;
 	// direct receives every reference synchronously. addrs == nil means
 	// batching is off.
 	addrs      []uint64
@@ -105,10 +104,8 @@ type Memory struct {
 	runs       []uint32
 	bufN       int
 	blockSinks []trace.BlockSink
-	batchers   []trace.BatchSink
 	direct     trace.Sink
 	flushBlk   trace.Block
-	refScratch []trace.Ref
 
 	// Thread-identity stamping (see SetTid). tids is the optional
 	// columnar tid ring, allocated lazily on the first SetTid call so
@@ -157,9 +154,9 @@ func (m *Memory) SetSink(s trace.Sink) {
 // SetBatching enables (size > 0, or 0 for DefaultBatchSize) or disables
 // (size < 0) batched reference delivery. When enabled, references are
 // buffered in a columnar ring buffer and flushed as a trace.Block to
-// every sink that implements trace.BlockSink and as a slice to every
-// remaining trace.BatchSink; sinks that implement neither still receive
-// each reference immediately, so order-sensitive sinks stay exact.
+// every sink that implements trace.BlockSink; every other sink still
+// receives each reference immediately, so order-sensitive sinks stay
+// exact.
 // Callers that read simulator state out of band (cache counters, fault
 // curves) must call Flush first; the simulation drivers in package sim
 // and paper do.
@@ -170,7 +167,7 @@ func (m *Memory) SetBatching(size int) {
 	m.Flush()
 	if size < 0 {
 		m.addrs, m.sizes, m.kinds, m.runs, m.tids = nil, nil, nil, nil, nil
-		m.blockSinks, m.batchers, m.direct = nil, nil, nil
+		m.blockSinks, m.direct = nil, nil
 		return
 	}
 	if size == 0 {
@@ -179,10 +176,10 @@ func (m *Memory) SetBatching(size int) {
 	m.rebatch(size)
 }
 
-// rebatch recomputes the block/batch/direct split of the current sink.
+// rebatch recomputes the block/direct split of the current sink.
 func (m *Memory) rebatch(size int) {
-	m.blockSinks, m.batchers, m.direct = trace.SplitBlocks(m.sink)
-	if len(m.blockSinks) == 0 && len(m.batchers) == 0 {
+	m.blockSinks, _, m.direct = trace.SplitBlocks(m.sink)
+	if len(m.blockSinks) == 0 {
 		// Nothing batches: fall back to the plain path.
 		m.addrs, m.sizes, m.kinds, m.runs, m.tids = nil, nil, nil, nil, nil
 		m.direct = nil
@@ -223,8 +220,8 @@ func (m *Memory) SetTid(tid uint8) {
 	m.curTid = tid
 }
 
-// Flush delivers buffered references to the block and batch sinks. It
-// is a no-op when batching is disabled or the buffer is empty.
+// Flush delivers buffered references to the block sinks. It is a no-op
+// when batching is disabled or the buffer is empty.
 func (m *Memory) Flush() {
 	if m.bufN == 0 {
 		return
@@ -237,12 +234,6 @@ func (m *Memory) Flush() {
 	}
 	for _, b := range m.blockSinks {
 		b.Block(&m.flushBlk)
-	}
-	if len(m.batchers) > 0 {
-		m.refScratch = m.flushBlk.AppendRefs(m.refScratch[:0])
-		for _, b := range m.batchers {
-			b.Refs(m.refScratch)
-		}
 	}
 }
 

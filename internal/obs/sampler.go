@@ -86,12 +86,8 @@ func (s *Sampler) Bind(rec *Recorder) {
 // Ref implements trace.Sink, counting references.
 func (s *Sampler) Ref(trace.Ref) { s.refs++ }
 
-// Refs implements trace.BatchSink. Capture correctness under batched
-// delivery is preserved by capture, which flushes Mem's buffer first.
-func (s *Sampler) Refs(batch []trace.Ref) { s.refs += uint64(len(batch)) }
-
-// Block implements trace.BlockSink: only the reference count matters,
-// so columnar delivery avoids materializing a []Ref for the sampler.
+// Block implements trace.BlockSink, counting the block's references
+// (a run row counts every reference it stands for).
 func (s *Sampler) Block(b *trace.Block) { s.refs += uint64(b.Refs()) }
 
 // Points returns the captured time series.

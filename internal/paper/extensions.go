@@ -366,9 +366,11 @@ func (r *Runner) ExtPenaltySweep(ctx context.Context) (*Table, error) {
 
 // extRun executes one ad-hoc simulation through arbitrary sinks,
 // returning the meter. Used by extensions whose instrumentation is not
-// expressible as a cache.Config list. References are batched (all the
-// locality simulators implement trace.BatchSink) and flushed before
-// returning, so callers may read sink state immediately.
+// expressible as a cache.Config list. Batching is on: block sinks
+// (cache.Cache) take columnar blocks, flushed before returning so
+// callers may read sink state immediately, and plain sinks
+// (cache.VictimCache, cache.Hierarchy) take every reference
+// synchronously.
 func (r *Runner) extRun(ctx context.Context, progName, allocName string, sink trace.Sink) (*cost.Meter, error) {
 	prog, ok := workload.ByName(progName)
 	if !ok {

@@ -3,13 +3,20 @@ package serve
 import (
 	"strings"
 	"testing"
+
+	"mallocsim/internal/cache"
 )
+
+// mixedLineSpec passes every per-cache check but names two line sizes,
+// which one cache.Group cannot hold.
+const mixedLineSpec = `{"program":"gawk","allocator":"bsd","scale":1024,"caches":[{"size":16384,"line_size":32},{"size":16384,"line_size":64}]}`
 
 // FuzzJobSpec feeds arbitrary bytes through the request-decoding path
 // — decode, canonicalize, hash — and asserts the invariants the HTTP
 // layer depends on: no panic on any input, every rejection is a typed
 // BadRequestError (so clients get a 4xx, never a 500), and any spec
-// that is accepted canonicalizes to a stable content hash.
+// that is accepted canonicalizes to a stable content hash and a cache
+// list the simulator can run as one group.
 func FuzzJobSpec(f *testing.F) {
 	seeds := []string{
 		``,
@@ -30,6 +37,7 @@ func FuzzJobSpec(f *testing.F) {
 		`"just a string"`,
 		`{{{`,
 		"\x00\xff\xfe",
+		mixedLineSpec,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -61,6 +69,12 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		if spec.Scale == 0 || spec.Seed == 0 || len(spec.Caches) == 0 {
 			t.Fatalf("accepted spec missing defaults: %+v", spec)
+		}
+		// sim builds the cache list as one cache.Group. The rule is
+		// checked without building the group: MaxCaches caches of
+		// MaxCacheSize bytes would allocate gigabytes of tags.
+		if err := cache.ValidateGroup(spec.cacheConfigs()...); err != nil {
+			t.Fatalf("accepted spec fails the cache group rule: %v", err)
 		}
 	})
 }

@@ -29,7 +29,6 @@ import (
 	"sync"
 	"time"
 
-	"mallocsim/internal/cache"
 	"mallocsim/internal/obs"
 	"mallocsim/internal/sim"
 	"mallocsim/internal/store"
@@ -516,16 +515,12 @@ func (s *Server) execute(ctx context.Context, spec *JobSpec) ([]byte, string, er
 	if !ok {
 		return nil, "", fmt.Errorf("unknown program %q", spec.Program)
 	}
-	cfgs := make([]cache.Config, len(spec.Caches))
-	for i, c := range spec.Caches {
-		cfgs[i] = c.config()
-	}
 	res, err := sim.RunContext(ctx, sim.Config{
 		Program:   prog,
 		Allocator: spec.Allocator,
 		Scale:     spec.Scale,
 		Seed:      spec.Seed,
-		Caches:    cfgs,
+		Caches:    spec.cacheConfigs(),
 		PageSim:   spec.PageSim,
 	})
 	if err != nil {

@@ -336,6 +336,7 @@ func TestServiceBadRequests(t *testing.T) {
 		{"bad-assoc", `{"program":"make","allocator":"bsd","caches":[{"size":16384,"assoc":-2}]}`},
 		{"bad-line", `{"program":"make","allocator":"bsd","caches":[{"size":16384,"line_size":33}]}`},
 		{"sub-word-line", `{"program":"make","allocator":"bsd","caches":[{"size":16384,"line_size":2}]}`},
+		{"mixed-line-sizes", mixedLineSpec},
 		{"trailing", `{"program":"make","allocator":"bsd"} extra`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -143,7 +143,20 @@ func (s *JobSpec) Canonicalize() error {
 			return badRequestf("cache %d: %v", i, err)
 		}
 	}
+	// sim runs the whole list as one cache.Group.
+	if err := cache.ValidateGroup(s.cacheConfigs()...); err != nil {
+		return badRequestf("caches: %v", err)
+	}
 	return nil
+}
+
+// cacheConfigs returns the spec's caches as simulator configurations.
+func (s *JobSpec) cacheConfigs() []cache.Config {
+	cfgs := make([]cache.Config, len(s.Caches))
+	for i, c := range s.Caches {
+		cfgs[i] = c.config()
+	}
+	return cfgs
 }
 
 func knownAllocator(name string) bool {

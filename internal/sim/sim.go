@@ -317,9 +317,8 @@ func newPipeline(cfg Config, allocName string) (*pipeline, error) {
 	// block fan-out per buffer fill (the cache group decomposes each
 	// block's addresses into a run-length-collapsed line stream once
 	// for all configurations). Order-sensitive sinks (obs.Attribution
-	// reads the meter's current domain per reference) implement neither
-	// BatchSink nor BlockSink and keep receiving every reference
-	// synchronously.
+	// reads the meter's current domain per reference) are plain Sinks
+	// and keep receiving every reference synchronously.
 	m.SetBatching(0)
 
 	a, err := alloc.New(allocName, m)

@@ -8,19 +8,17 @@
 // is a trace-driven simulation study, and every experiment in this
 // repository is a consumer of a trace.Sink.
 //
-// # Batching and columnar blocks
+// # Two delivery tiers
 //
 // The per-reference Sink.Ref call is the simulator's hottest edge, so
 // sinks that can tolerate deferred delivery additionally implement
-// BatchSink (Refs([]Ref)) or, one tier up, BlockSink (Block(*Block)).
-// Producers such as mem.Memory buffer references and flush them —
-// as a columnar Block to every BlockSink, as a []Ref slice to every
-// remaining BatchSink — while still delivering synchronously,
-// reference by reference, to plain Sinks. Custom Sink implementors
-// need to do nothing: not implementing either interface is always
-// correct. Implement them only when the sink's behaviour depends
-// solely on the reference values and their order — see the BatchSink
-// and BlockSink contracts.
+// BlockSink (Block(*Block)). Producers such as mem.Memory buffer
+// references and flush them as one columnar Block to every BlockSink,
+// while still delivering synchronously, reference by reference, to
+// every other Sink. Custom Sink implementors need to do nothing: not
+// implementing BlockSink is always correct. Implement it only when the
+// sink's behaviour depends solely on the reference values and their
+// order — see the BlockSink contract.
 //
 // The columnar Block representation (struct-of-arrays: separate
 // address, size and kind columns) exists for the simulators' sake:
@@ -73,28 +71,6 @@ type Ref struct {
 // simulators, page-fault simulators, counters and trace writers.
 type Sink interface {
 	Ref(Ref)
-}
-
-// BatchSink is a Sink that also accepts references in slices. Producers
-// with a hot emit path (mem.Memory) buffer references and hand the
-// whole batch to each BatchSink at flush boundaries, replacing one
-// interface call per reference per sink with one call per batch.
-//
-// Implementing BatchSink is a contract, not just an optimization: it
-// declares that the sink tolerates *deferred* delivery. Refs(batch)
-// must be equivalent to calling Ref for each element in order, and the
-// sink must not depend on observing each reference at the instant it
-// was generated (for example by reading clock-like state that advances
-// between generation and flush). Sinks that need synchronous delivery —
-// like obs.Attribution, which reads the cost meter's current domain per
-// reference — simply implement plain Sink and keep receiving every
-// reference immediately; see Split.
-//
-// The batch slice is only valid for the duration of the call and may be
-// reused by the producer; copy it if it must be retained.
-type BatchSink interface {
-	Sink
-	Refs([]Ref)
 }
 
 // Block is a columnar (struct-of-arrays) batch of references: element i
@@ -228,8 +204,8 @@ func (b *Block) Reset() {
 }
 
 // AppendRefs converts the block's references into dst (appending),
-// expanding run rows, and returns the extended slice — the bridge from
-// a columnar producer to a BatchSink consumer.
+// expanding run rows, and returns the extended slice: the reference
+// order the BlockSink contract is stated in.
 func (b *Block) AppendRefs(dst []Ref) []Ref {
 	for i, a := range b.Addrs {
 		sz, k := b.Sizes[i], b.Kinds[i]
@@ -249,92 +225,66 @@ func (b *Block) AppendRefs(dst []Ref) []Ref {
 	return dst
 }
 
-// BlockSink is a Sink that additionally accepts references as columnar
-// blocks. It is the third delivery tier: producers hand each flushed
-// batch as one Block to every BlockSink, as a []Ref to every remaining
-// BatchSink, and reference by reference to plain Sinks.
+// BlockSink is a Sink that also accepts references as columnar blocks.
+// Producers with a hot emit path (mem.Memory) buffer references and
+// hand each flushed buffer as one Block to every BlockSink, replacing
+// one interface call per reference per sink with one call per block;
+// every other sink keeps receiving each reference through Ref the
+// instant it is generated.
 //
-// The contract extends BatchSink's: Block(b) must be equivalent to
-// calling Ref for every reference of the block in row order — with run
-// rows (see Block.Runs) expanded in place — and the sink must tolerate
-// deferred delivery. The block and its column slices are only valid
-// for the duration of the call and will be reused by the producer;
-// copy what must be retained. A sink implementing both BlockSink and
-// BatchSink receives each batch exactly once, via Block.
+// Implementing BlockSink is a contract, not just an optimization: it
+// declares that the sink tolerates *deferred* delivery. Block(b) must
+// be equivalent to calling Ref for every reference of the block in row
+// order — with run rows (see Block.Runs) expanded in place — and the
+// sink must not depend on observing each reference at the instant it
+// was generated (for example by reading clock-like state that advances
+// between generation and flush). Sinks that need synchronous delivery —
+// like obs.Attribution, which reads the cost meter's current domain per
+// reference — implement plain Sink; see SplitBlocks.
+//
+// The block and its column slices are only valid for the duration of
+// the call and will be reused by the producer; copy what must be
+// retained.
 type BlockSink interface {
 	Sink
 	Block(*Block)
 }
 
-// Split partitions a sink graph into its batch-capable leaves and an
-// immediate-delivery remainder. Tees are flattened recursively (and
-// Discard/nil entries dropped) exactly as NewTee does; every leaf that
-// implements BatchSink lands in the batch slice, and the rest are
-// recombined into a single Sink (nil when there are none). Producers
-// use this to route buffered references to batchers at flush time while
-// still delivering synchronously to everything else.
-func Split(s Sink) ([]BatchSink, Sink) {
+// SplitBlocks partitions a sink graph into its block-capable leaves and
+// an immediate-delivery remainder. Tees are flattened and Discard/nil
+// entries dropped exactly as NewTee does; every leaf that implements
+// BlockSink lands in the first result, and the rest are recombined
+// into a single Sink, the third result (nil when there are none).
+// mem.Memory uses this to route each flushed buffer to the block sinks
+// while still delivering synchronously to everything else.
+//
+// The second result is always nil: it is kept only because perfbench's
+// tests destructure three results, and goes with the next change to
+// that module.
+func SplitBlocks(s Sink) ([]BlockSink, []Sink, Sink) {
 	flat := flatten(nil, []Sink{s})
-	var batch []BatchSink
+	var blocks []BlockSink
 	var rest Tee
 	for _, leaf := range flat {
-		if b, ok := leaf.(BatchSink); ok {
-			batch = append(batch, b)
+		if b, ok := leaf.(BlockSink); ok {
+			blocks = append(blocks, b)
 		} else {
 			rest = append(rest, leaf)
 		}
 	}
 	switch len(rest) {
 	case 0:
-		return batch, nil
+		return blocks, nil, nil
 	case 1:
-		return batch, rest[0]
+		return blocks, nil, rest[0]
 	default:
-		return batch, rest
+		return blocks, nil, rest
 	}
 }
-
-// SplitBlocks partitions a sink graph into three delivery tiers:
-// columnar-block leaves, slice-batch leaves that do not take blocks,
-// and the immediate-delivery remainder (nil when there are none). Tees
-// are flattened and Discard/nil entries dropped exactly as NewTee does.
-// mem.Memory uses this to route each flushed buffer once per leaf at
-// the widest interface the leaf supports.
-func SplitBlocks(s Sink) ([]BlockSink, []BatchSink, Sink) {
-	flat := flatten(nil, []Sink{s})
-	var blocks []BlockSink
-	var batch []BatchSink
-	var rest Tee
-	for _, leaf := range flat {
-		switch v := leaf.(type) {
-		case BlockSink:
-			blocks = append(blocks, v)
-		case BatchSink:
-			batch = append(batch, v)
-		default:
-			rest = append(rest, leaf)
-		}
-	}
-	switch len(rest) {
-	case 0:
-		return blocks, batch, nil
-	case 1:
-		return blocks, batch, rest[0]
-	default:
-		return blocks, batch, rest
-	}
-}
-
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(Ref)
-
-// Ref implements Sink.
-func (f SinkFunc) Ref(r Ref) { f(r) }
 
 type discardSink struct{}
 
 func (discardSink) Ref(Ref)      {}
-func (discardSink) Refs([]Ref)   {}
 func (discardSink) Block(*Block) {}
 
 // Discard is a Sink that drops every reference.
@@ -347,48 +297,6 @@ type Tee []Sink
 func (t Tee) Ref(r Ref) {
 	for _, s := range t {
 		s.Ref(r)
-	}
-}
-
-// Refs implements BatchSink: members that batch receive the whole
-// slice, the rest receive the references one by one.
-func (t Tee) Refs(batch []Ref) {
-	for _, s := range t {
-		if b, ok := s.(BatchSink); ok {
-			b.Refs(batch)
-			continue
-		}
-		for _, r := range batch {
-			s.Ref(r)
-		}
-	}
-}
-
-// Block implements BlockSink: members that take blocks receive the
-// block, slice-batchers receive a materialized []Ref (built at most
-// once per call), and the rest receive the references one by one. Hot
-// producers should prefer SplitBlocks and deliver to the leaves
-// directly; Tee.Block is the correct-but-unoptimized composition for
-// ad-hoc pipelines.
-func (t Tee) Block(blk *Block) {
-	var refs []Ref
-	for _, s := range t {
-		if b, ok := s.(BlockSink); ok {
-			b.Block(blk)
-			continue
-		}
-		// Materialize the expanded reference slice at most once and
-		// share it between slice-batchers and per-reference members.
-		if refs == nil {
-			refs = blk.AppendRefs(make([]Ref, 0, blk.Refs()))
-		}
-		if b, ok := s.(BatchSink); ok {
-			b.Refs(refs)
-			continue
-		}
-		for _, r := range refs {
-			s.Ref(r)
-		}
 	}
 }
 
@@ -440,13 +348,6 @@ func (c *Counter) Ref(r Ref) {
 	} else {
 		c.Reads++
 		c.BytesRead += uint64(r.Size)
-	}
-}
-
-// Refs implements BatchSink.
-func (c *Counter) Refs(batch []Ref) {
-	for _, r := range batch {
-		c.Ref(r)
 	}
 }
 
@@ -508,33 +409,16 @@ func (f *Filter) Ref(r Ref) {
 	}
 }
 
-// Refs implements BatchSink.
-func (f *Filter) Refs(batch []Ref) {
-	for _, r := range batch {
-		if f.Keep(r) {
-			f.Next.Ref(r)
-		}
-	}
-}
-
-// RangeFilter forwards only references whose address lies in [Lo, Hi).
-func RangeFilter(lo, hi uint64, next Sink) Sink {
-	return &Filter{
-		Keep: func(r Ref) bool { return r.Addr >= lo && r.Addr < hi },
-		Next: next,
-	}
-}
-
 // Recorder appends every reference to an in-memory slice. It is intended
 // for tests and small traces.
 type Recorder struct {
 	Refs []Ref
 }
 
-// Ref implements Sink. Recorder does not implement BatchSink (the
-// exported Refs field occupies the method name): it receives every
-// reference synchronously even from batching producers, which is what
-// tests interleaving recorded references with other events want.
+// Ref implements Sink. Recorder is deliberately not a BlockSink: it
+// receives every reference synchronously even from batching producers,
+// which is what tests interleaving recorded references with other
+// events want.
 func (rec *Recorder) Ref(r Ref) { rec.Refs = append(rec.Refs, r) }
 
 // Reset clears the recorded references.

@@ -112,7 +112,7 @@ func TestNewTeeSingleUnwrap(t *testing.T) {
 
 func TestFilterAndRange(t *testing.T) {
 	var c Counter
-	f := RangeFilter(100, 200, &c)
+	f := &Filter{Keep: func(r Ref) bool { return r.Addr >= 100 && r.Addr < 200 }, Next: &c}
 	f.Ref(Ref{Addr: 50, Size: 4})
 	f.Ref(Ref{Addr: 100, Size: 4})
 	f.Ref(Ref{Addr: 199, Size: 4})
@@ -134,15 +134,6 @@ func TestRecorder(t *testing.T) {
 	r.Reset()
 	if len(r.Refs) != 0 {
 		t.Error("reset failed")
-	}
-}
-
-func TestSinkFunc(t *testing.T) {
-	n := 0
-	s := SinkFunc(func(Ref) { n++ })
-	s.Ref(Ref{})
-	if n != 1 {
-		t.Error("SinkFunc not invoked")
 	}
 }
 
@@ -174,81 +165,40 @@ func TestQuickCounterTotals(t *testing.T) {
 	}
 }
 
-func TestTeeRefsBatch(t *testing.T) {
-	var c1, c2 Counter
-	var plain Recorder // plain Sink: receives per-ref fan-out
-	tee := Tee{&c1, &plain, &c2}
-	batch := []Ref{
-		{Addr: 0, Size: 4},
-		{Addr: 8, Size: 4, Kind: Write},
-		{Addr: 16, Size: 8},
-	}
-	tee.Refs(batch)
-	if c1.Total() != 3 || c2.Total() != 3 || len(plain.Refs) != 3 {
-		t.Errorf("batch fan-out: c1=%d c2=%d plain=%d", c1.Total(), c2.Total(), len(plain.Refs))
-	}
-	if c1.Writes != 1 || c1.BytesRead != 12 {
-		t.Errorf("counter state: %+v", c1)
-	}
-}
-
-func TestCounterBatchMatchesSingle(t *testing.T) {
-	refs := []Ref{{Addr: 0, Size: 4}, {Addr: 4, Size: 8, Kind: Write}, {Addr: 32, Size: 0}}
-	var a, b Counter
-	for _, r := range refs {
-		a.Ref(r)
-	}
-	b.Refs(refs)
-	if a != b {
-		t.Errorf("batch %+v != single %+v", b, a)
-	}
-}
-
-func TestFilterBatch(t *testing.T) {
-	var out Counter
-	f := &Filter{Keep: func(r Ref) bool { return r.Addr < 100 }, Next: &out}
-	f.Refs([]Ref{{Addr: 1, Size: 4}, {Addr: 200, Size: 4}, {Addr: 99, Size: 4}})
-	if out.Total() != 2 {
-		t.Errorf("filtered batch total = %d, want 2", out.Total())
-	}
-}
-
+// TestSplit: SplitBlocks flattens tees, hands every BlockSink leaf to
+// the first result in graph order, returns a single leftover as
+// itself, recombines several into a Tee, yields nothing for a graph of
+// only Discard, and always leaves the middle result nil.
 func TestSplit(t *testing.T) {
-	var c Counter     // BatchSink
-	var rec Recorder  // plain Sink (Refs is a field)
-	var rec2 Recorder // second plain sink: remainder becomes a Tee
-	fn := SinkFunc(func(Ref) {})
+	var c, c2 Counter      // BlockSinks
+	var rec, rec2 Recorder // plain Sinks
+	keepAll := &Filter{Keep: func(Ref) bool { return true }, Next: &c}
 
-	// All-batch graph: no remainder.
-	batch, rest := Split(NewTee(&c, Discard))
-	if len(batch) != 1 || rest != nil {
-		t.Errorf("all-batch split: %d batchers, rest %v", len(batch), rest)
+	// All-block graph, nested tees: no remainder.
+	blocks, batch, rest := SplitBlocks(NewTee(Tee{&c, Tee{&c2}}, Discard))
+	if len(blocks) != 2 || blocks[0] != BlockSink(&c) || blocks[1] != BlockSink(&c2) || batch != nil || rest != nil {
+		t.Errorf("all-block split: blocks %v, batch %v, rest %v", blocks, batch, rest)
 	}
 
-	// Mixed graph, nested tee: batchers extracted, single leftover
-	// returned directly.
-	batch, rest = Split(NewTee(&c, Tee{&rec}))
-	if len(batch) != 1 || rest != Sink(&rec) {
-		t.Errorf("mixed split: %d batchers, rest %T", len(batch), rest)
+	// Mixed graph, nested tee: the single leftover comes back as itself.
+	blocks, batch, rest = SplitBlocks(NewTee(&c, Tee{&rec}))
+	if len(blocks) != 1 || batch != nil || rest != Sink(&rec) {
+		t.Errorf("mixed split: %d block sinks, batch %v, rest %T", len(blocks), batch, rest)
 	}
 
-	// Multiple leftovers recombine into a Tee.
-	batch, rest = Split(NewTee(&c, &rec, &rec2, fn))
-	if len(batch) != 1 {
-		t.Errorf("batchers = %d", len(batch))
-	}
-	if tee, ok := rest.(Tee); !ok || len(tee) != 3 {
-		t.Errorf("rest = %T %v, want 3-element Tee", rest, rest)
+	// Several leftovers recombine into a Tee, in graph order.
+	blocks, batch, rest = SplitBlocks(NewTee(&rec, &c, Tee{&rec2, keepAll}))
+	tee, ok := rest.(Tee)
+	if len(blocks) != 1 || batch != nil || !ok || len(tee) != 3 ||
+		tee[0] != Sink(&rec) || tee[1] != Sink(&rec2) || tee[2] != Sink(keepAll) {
+		t.Errorf("leftover split: %d block sinks, batch %v, rest %T %v, want a 3-element Tee", len(blocks), batch, rest, rest)
 	}
 
-	// Discard-only graph: nothing at all.
-	batch, rest = Split(Discard)
-	if len(batch) != 0 || rest != nil {
-		t.Errorf("discard split: %d batchers, rest %v", len(batch), rest)
+	// Discard-only graphs: nothing at all.
+	for _, g := range []Sink{Discard, Tee{Discard, Tee{Discard}}} {
+		blocks, batch, rest = SplitBlocks(g)
+		if len(blocks) != 0 || batch != nil || rest != nil {
+			t.Errorf("discard split of %v: blocks %v, batch %v, rest %v", g, blocks, batch, rest)
+		}
 	}
 }
-
-var _ BatchSink = (*Counter)(nil)
-var _ BatchSink = (Tee)(nil)
-var _ BatchSink = (*Filter)(nil)
-var _ BatchSink = discardSink{}

@@ -180,14 +180,6 @@ func (s *StackSim) Ref(r trace.Ref) {
 	}
 }
 
-// Refs implements trace.BatchSink: stack simulation depends only on the
-// reference sequence, so deferred batch delivery is safe.
-func (s *StackSim) Refs(batch []trace.Ref) {
-	for _, r := range batch {
-		s.Ref(r)
-	}
-}
-
 // Block implements trace.BlockSink: the page walk reads the address
 // column directly and touches sizes only to split page-spanning
 // references (kinds are irrelevant to fault behaviour).
