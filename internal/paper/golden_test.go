@@ -22,10 +22,13 @@ var update = flag.Bool("update", false, "rewrite testdata/golden from current ou
 
 func goldenDir() string { return filepath.Join("testdata", "golden") }
 
-// goldenExtensions are the extension studies that build their own sink
-// graphs (extRun or a hand-wired mem.Memory) instead of reading the
-// memoized paper pairs, so no paper golden covers their numbers.
-var goldenExtensions = []string{"ext-victim", "ext-hierarchy", "ext-flush", "ext-tlb", "ext-linesize", "ext-apps"}
+// goldenExtensions are the extension studies. No paper golden covers
+// their numbers: most run simulations of their own, and the ones that
+// read memoized paper pairs compute numbers no paper table prints.
+var goldenExtensions = []string{
+	"ext-penalty", "ext-victim", "ext-flush", "ext-tlb", "ext-lifetime", "ext-seqfit",
+	"ext-taxonomy", "ext-hierarchy", "ext-linesize", "ext-apps", "ext-frag", "ext-seeds",
+}
 
 // goldenTables renders every paper experiment to its versioned JSON
 // document after prefetching the matrix through a worker pool of the
@@ -109,13 +112,11 @@ func TestGoldenFigures(t *testing.T) {
 	checkGoldens(t, ids, got)
 }
 
-// TestGoldenExtensions pins the extension tables that wire their own
-// sinks (victim buffer, two-level hierarchy, flush intervals, TLB, line
-// sizes, the apps kernels) next to the paper's goldens, at the same
-// scale and seed.
+// TestGoldenExtensions pins every extension table next to the paper's
+// goldens, at the same scale and seed.
 func TestGoldenExtensions(t *testing.T) {
 	if testing.Short() {
-		t.Skip("extension goldens run six extension studies")
+		t.Skip("extension goldens run the twelve extension studies")
 	}
 	r := NewRunner(GoldenScale)
 	got := make(map[string][]byte, len(goldenExtensions))
