@@ -12,18 +12,22 @@
 //
 // Each experiment drives synthetic models of the paper's five test
 // programs through real implementations of the paper's five allocators
-// on simulated memory, and reports the same rows/series the paper does.
-// -json replaces the text output with a versioned JSON array of table
-// documents; -metrics-out writes that JSON to a file while the chosen
-// -format still goes to stdout. -check additionally runs every
-// simulation under the shadow heap auditor (internal/alloc/shadow) and
-// exits with status 3 if any allocator contract violation is detected;
-// the auditor is host-side only, so all reported numbers are unchanged.
+// on simulated memory, and reports the same rows/series the paper does;
+// the ext-* experiments extend the study. -json replaces the text output
+// with a versioned JSON array of table documents; -metrics-out writes
+// that JSON to a file while the chosen -format still goes to stdout.
+// -check additionally runs every simulation under the shadow heap
+// auditor (internal/alloc/shadow) and exits with status 3 if any
+// allocator contract violation is detected; the auditor is host-side
+// only, so all reported numbers are unchanged. ext-frag and ext-apps
+// drive their allocators without the simulation pipeline, so the
+// auditor does not see them.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -37,7 +41,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment id (figure1..figure9, table1..table6, modern, server), comma-separated, or 'all'")
+		exp     = flag.String("exp", "all", "experiment id (figure1..figure9, table1..table6, modern, server, ext-{penalty,victim,flush,tlb,lifetime,seqfit,taxonomy,hierarchy,linesize,apps,frag,seeds}), comma-separated, or 'all'")
 		scale   = flag.Uint64("scale", paper.DefaultScale, "run 1/scale of each program's events (1 = full scale)")
 		seed    = flag.Uint64("seed", 1, "workload random seed")
 		workers = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = sequential); output is identical at any setting")
@@ -66,8 +70,8 @@ func main() {
 	r.CheckHeap = *check
 
 	if *list {
-		for _, e := range r.Experiments() {
-			fmt.Printf("%-9s %s\n", e.ID, e.Desc)
+		for _, e := range r.AllExperiments() {
+			fmt.Printf("%-13s %s\n", e.ID, e.Desc)
 		}
 		return
 	}
@@ -82,46 +86,34 @@ func main() {
 		ids[i] = strings.TrimSpace(id)
 	}
 
-	// Run the selected experiments' simulation matrix through the worker
-	// pool up front; the per-experiment loop below then assembles tables
-	// from memoized results in order. Unknown ids are diagnosed in the
-	// loop, and prefetch errors resurface there too.
-	_ = r.Prefetch(ctx, r.PairsFor(ids...))
-
-	var tables []*paper.Table
-	for _, id := range ids {
-		e, ok := r.ByID(strings.TrimSpace(id))
-		if !ok {
-			fmt.Fprintf(os.Stderr, "locality: unknown experiment %q (try -list)\n", id)
-			os.Exit(2)
-		}
-		t, err := e.Run(ctx)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "locality: %s: %v\n", e.ID, err)
-			os.Exit(1)
-		}
-		tables = append(tables, t)
-		if *jsonOut {
-			continue
-		}
-		switch *format {
-		case "csv":
-			fmt.Print(t.CSV())
-		case "markdown":
-			fmt.Println(t.Markdown())
-		case "plot":
-			// The paper draws its paging figures on a log axis.
-			logY := t.ID == "figure2" || t.ID == "figure3"
-			fmt.Println(t.Plot(logY))
-		default:
-			fmt.Println(t.String())
-		}
+	tables, err := r.Tables(ctx, ids...)
+	if errors.Is(err, paper.ErrUnknownExperiment) {
+		fmt.Fprintf(os.Stderr, "locality: %v (try -list)\n", err)
+		os.Exit(2)
 	}
-
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "locality: %v\n", err)
+		os.Exit(1)
+	}
 	if *jsonOut {
 		if err := writeTables(os.Stdout, tables); err != nil {
 			fmt.Fprintf(os.Stderr, "locality: %v\n", err)
 			os.Exit(1)
+		}
+	} else {
+		for _, t := range tables {
+			switch *format {
+			case "csv":
+				fmt.Print(t.CSV())
+			case "markdown":
+				fmt.Println(t.Markdown())
+			case "plot":
+				// The paper draws its paging figures on a log axis.
+				logY := t.ID == "figure2" || t.ID == "figure3"
+				fmt.Println(t.Plot(logY))
+			default:
+				fmt.Println(t.String())
+			}
 		}
 	}
 	if *metrics != "" {

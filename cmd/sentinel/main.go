@@ -126,22 +126,13 @@ func run() int {
 				ids = append(ids, e.ID)
 			}
 		}
-		if err := r.Prefetch(ctx, r.PairsFor(ids...)); err != nil {
+		tables, err := r.Tables(ctx, ids...)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "sentinel: %v\n", err)
 			return 1
 		}
-		for _, id := range ids {
-			exp, ok := r.ByID(id)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "sentinel: unknown experiment %q\n", id)
-				return 1
-			}
-			tab, err := exp.Run(ctx)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sentinel: %s: %v\n", id, err)
-				return 1
-			}
-			hash, err := paper.RecordTable(st, tab, *scale, *seed)
+		for i, id := range ids {
+			hash, err := paper.RecordTable(st, tables[i], *scale, *seed)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "sentinel: record %s: %v\n", id, err)
 				return 1

@@ -14,8 +14,8 @@ package paper
 //   - ext-flush: §3.2 — the paper "intentionally avoid[s] introducing
 //     the effects of intermittent cache flushes"; this experiment adds
 //     them back (context switches à la Mogul & Borg).
-//   - ext-tlb: the third locality level — a fully-associative TLB
-//     simulated with the same machinery (page-sized lines).
+//   - ext-tlb: the third locality level — fully-associative TLBs, read
+//     off the LRU page curve.
 //   - ext-lifetime: §5.1 future work — lifetime-prediction-guided
 //     segregation (Barrett & Zorn) versus the plain §4.4 architecture.
 //   - ext-seqfit: Standish's sequential-fit family (first fit / best
@@ -34,6 +34,13 @@ import (
 	"mallocsim/internal/workload"
 
 	"mallocsim/internal/alloc"
+)
+
+// The allocators of the two extensions that read memoized pairs; PairsFor
+// lists the same pairs.
+var (
+	penaltyAllocators = []string{"firstfit", "bsd", "quickfit", "gnulocal"}
+	seqfitAllocators  = []string{"firstfit", "firstfit-norover", "firstfit-addrorder", "firstfit-nocoalesce", "bestfit"}
 )
 
 // extensions returns the extension experiment index.
@@ -71,19 +78,15 @@ func (r *Runner) ExtSeedSensitivity(ctx context.Context) (*Table, error) {
 	// rates[allocator][seed index]
 	rates := make(map[string][]float64)
 	for _, seed := range seeds {
-		for _, a := range allocs {
-			prog, _ := workload.ByName("gs-small")
-			res, err := sim.RunContext(ctx, sim.Config{
-				Program:   prog,
-				Allocator: a,
-				Scale:     r.Scale,
-				Seed:      seed,
-				Caches:    []cache.Config{{Size: 16 << 10}},
-			})
-			if err != nil {
-				return nil, err
-			}
-			rates[a] = append(rates[a], res.Caches[0].MissRate()*100)
+		results, err := r.bundle(ctx, "ext-seeds", "gs-small", allocs, sim.Config{
+			Seed:   seed,
+			Caches: []cache.Config{{Size: 16 << 10}},
+		})
+		if err != nil {
+			return nil, err
+		}
+		for i, a := range allocs {
+			rates[a] = append(rates[a], results[i].Caches[0].MissRate()*100)
 		}
 	}
 	// Per seed, which allocator had the worst miss rate?
@@ -126,31 +129,32 @@ func (r *Runner) ExtFragmentation(ctx context.Context) (*Table, error) {
 		Note:   r.note(),
 		Header: append([]string{"Run fraction"}, allocs...),
 	}
+	// sim does not forward SampleEvery, so the workload drives bare lanes.
 	prog, _ := workload.ByName("espresso")
-	nAllocs := prog.Allocs / r.Scale
-	series := make(map[string][]workload.Sample)
-	for _, a := range allocs {
-		meter := &cost.Meter{}
-		m := mem.New(trace.Discard, meter)
+	lanes := make([]workload.Lane, len(allocs))
+	for i, a := range allocs {
+		m := mem.New(trace.Discard, &cost.Meter{})
 		inst, err := alloc.New(a, m)
 		if err != nil {
 			return nil, err
 		}
-		stats, err := workload.RunContext(ctx, m, inst, workload.Config{
-			Program:     prog,
-			Scale:       r.Scale,
-			Seed:        r.Seed,
-			SampleEvery: nAllocs/20 + 1,
-		})
+		lanes[i] = workload.Lane{Mem: m, Alloc: inst}
+	}
+	stats, errs := workload.RunBundle(ctx, lanes, workload.Config{
+		Program:     prog,
+		Scale:       r.Scale,
+		Seed:        r.Seed,
+		SampleEvery: prog.Allocs/r.Scale/20 + 1,
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		series[a] = stats.Samples
 	}
 	for _, frac := range []float64{0.1, 0.25, 0.5, 0.75, 1.0} {
 		row := []string{fmt.Sprintf("%.0f%%", frac*100)}
-		for _, a := range allocs {
-			s := series[a]
+		for i := range allocs {
+			s := stats[i].Samples
 			idx := int(float64(len(s)-1) * frac)
 			row = append(row, fmt.Sprintf("%.2f", s[idx].Overhead()))
 		}
@@ -228,17 +232,22 @@ func (r *Runner) ExtHierarchy(ctx context.Context) (*Table, error) {
 		Note:   r.note(),
 		Header: []string{"Allocator", "L1 miss", "global miss", "wb/Kref", "est sec"},
 	}
-	for _, a := range Allocators {
-		h := cache.NewHierarchy(
-			cache.Config{Size: 16 << 10},
-			cache.Config{Size: 256 << 10, Assoc: 2},
-		)
-		meter, err := r.extRun(ctx, "gs-small", a, h)
-		if err != nil {
-			return nil, err
-		}
-		cycles := meter.Total() + h.StallCycles()
-		secs := float64(cycles) * float64(r.Scale) / sim.ClockHz
+	hs := make([]*cache.Hierarchy, len(Allocators))
+	results, err := r.bundle(ctx, "ext-hierarchy", "gs-small", Allocators, sim.Config{
+		Sinks: func(lane int) []trace.Sink {
+			hs[lane] = cache.NewHierarchy(
+				cache.Config{Size: 16 << 10},
+				cache.Config{Size: 256 << 10, Assoc: 2},
+			)
+			return []trace.Sink{hs[lane]}
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, a := range Allocators {
+		h, res := hs[i], results[i]
+		secs := res.Seconds(res.Instr.Total() + h.StallCycles())
 		wb := float64(h.L1.Writebacks()+h.L2.Writebacks()) / float64(h.Accesses()) * 1000
 		t.AddRow(a,
 			f3(h.L1MissRate()*100),
@@ -262,18 +271,26 @@ func (r *Runner) ExtLineSize(ctx context.Context) (*Table, error) {
 		Note:   r.note(),
 		Header: []string{"Allocator", "16B", "32B", "64B", "128B"},
 	}
-	for _, a := range Allocators {
-		caches := make([]*cache.Cache, len(lineSizes))
-		sinks := make([]trace.Sink, len(lineSizes))
-		for i, ls := range lineSizes {
-			caches[i] = cache.New(cache.Config{Size: 16 << 10, LineSize: ls})
-			sinks[i] = caches[i]
-		}
-		if _, err := r.extRun(ctx, "gs-small", a, trace.NewTee(sinks...)); err != nil {
-			return nil, err
-		}
+	// A cache.Group shares one line size, so each size is a sink of its
+	// own.
+	caches := make([][]*cache.Cache, len(Allocators))
+	_, err := r.bundle(ctx, "ext-linesize", "gs-small", Allocators, sim.Config{
+		Sinks: func(lane int) []trace.Sink {
+			var sinks []trace.Sink
+			for _, ls := range lineSizes {
+				c := cache.New(cache.Config{Size: 16 << 10, LineSize: ls})
+				caches[lane] = append(caches[lane], c)
+				sinks = append(sinks, c)
+			}
+			return sinks
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, a := range Allocators {
 		row := []string{a}
-		for _, c := range caches {
+		for _, c := range caches[i] {
 			row = append(row, f3(c.MissRate()*100))
 		}
 		t.AddRow(row...)
@@ -295,38 +312,18 @@ func (r *Runner) ExtTaxonomy(ctx context.Context) (*Table, error) {
 		Note:   r.note(),
 		Header: append([]string{"Metric"}, labels...),
 	}
-	results := map[string]*sim.Result{}
-	for _, a := range allocs {
-		prog, _ := workload.ByName("espresso")
-		res, err := sim.RunContext(ctx, sim.Config{
-			Program:   prog,
-			Allocator: a,
-			Scale:     r.Scale,
-			Seed:      r.Seed,
-			Caches:    []cache.Config{{Size: 16 << 10}},
-			PageSim:   true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		results[a] = res
+	results, err := r.bundle(ctx, "ext-taxonomy", "espresso", allocs, sim.Config{
+		Caches:  []cache.Config{{Size: 16 << 10}},
+		PageSim: true,
+	})
+	if err != nil {
+		return nil, err
 	}
-	add := func(name string, f func(*sim.Result) string) {
-		cells := []string{name}
-		for _, a := range allocs {
-			cells = append(cells, f(results[a]))
-		}
-		t.AddRow(cells...)
-	}
-	add("malloc+free (% time)", func(r *sim.Result) string { return f2(r.AllocFraction() * 100) })
-	add("heap (KB)", func(r *sim.Result) string { return kb(r.Footprint) })
-	add("16K miss (%)", func(r *sim.Result) string { return f3(r.Caches[0].MissRate() * 100) })
-	add("faults/Mref @ half mem", func(res *sim.Result) string {
-		half := res.Curve.MinResidentPages() / 2
-		if half == 0 {
-			half = 1
-		}
-		return fmt.Sprintf("%.1f", res.Curve.FaultRate(half)*1e6)
+	addMetric(t, results, "malloc+free (% time)", func(r *sim.Result) string { return f2(r.AllocFraction() * 100) })
+	addMetric(t, results, "heap (KB)", func(r *sim.Result) string { return kb(r.Footprint) })
+	addMetric(t, results, "16K miss (%)", func(r *sim.Result) string { return f3(r.Caches[0].MissRate() * 100) })
+	addMetric(t, results, "faults/Mref @ half mem", func(r *sim.Result) string {
+		return fmt.Sprintf("%.1f", halfMemFaultRate(r)*1e6)
 	})
 	return t, nil
 }
@@ -336,7 +333,7 @@ func (r *Runner) ExtTaxonomy(ctx context.Context) (*Table, error) {
 // the analytical T = I + M·P·D step.
 func (r *Runner) ExtPenaltySweep(ctx context.Context) (*Table, error) {
 	const cacheSize = 64 << 10
-	allocs := []string{"firstfit", "bsd", "quickfit", "gnulocal"}
+	allocs := penaltyAllocators
 	penalties := []uint64{10, 25, 50, 100, 200, 400}
 	t := &Table{
 		ID:     "ext-penalty",
@@ -364,30 +361,51 @@ func (r *Runner) ExtPenaltySweep(ctx context.Context) (*Table, error) {
 	return t, nil
 }
 
-// extRun executes one ad-hoc simulation through arbitrary sinks,
-// returning the meter. Used by extensions whose instrumentation is not
-// expressible as a cache.Config list. Batching is on: block sinks
-// (cache.Cache) take columnar blocks, flushed before returning so
-// callers may read sink state immediately, and plain sinks
-// (cache.VictimCache, cache.Hierarchy) take every reference
-// synchronously.
-func (r *Runner) extRun(ctx context.Context, progName, allocName string, sink trace.Sink) (*cost.Meter, error) {
+// bundle runs progName once for all of allocs as one sim.RunBundle, for
+// the extension table id. cfg names the caches, the paging, the extra
+// sinks and, when not the Runner's, the seed; bundle fills in the
+// program, the scale and CheckHeap. It returns the results in allocs
+// order, or the first lane error. Under CheckHeap each result is
+// memoized under "id:program/allocator@seed", so ShadowSnapshots
+// reports its verdict.
+func (r *Runner) bundle(ctx context.Context, id, progName string, allocs []string, cfg sim.Config) ([]*sim.Result, error) {
 	prog, ok := workload.ByName(progName)
 	if !ok {
 		return nil, fmt.Errorf("paper: unknown program %q", progName)
 	}
-	meter := &cost.Meter{}
-	m := mem.New(sink, meter)
-	m.SetBatching(0)
-	a, err := alloc.New(allocName, m)
-	if err != nil {
-		return nil, err
+	cfg.Program, cfg.Scale, cfg.CheckHeap = prog, r.Scale, r.CheckHeap
+	if cfg.Seed == 0 {
+		cfg.Seed = r.Seed
 	}
-	if _, err := workload.RunContext(ctx, m, a, workload.Config{Program: prog, Scale: r.Scale, Seed: r.Seed}); err != nil {
-		return nil, err
+	results, errs := sim.RunBundle(ctx, cfg, allocs)
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
-	m.Flush()
-	return meter, nil
+	if r.CheckHeap {
+		r.mu.Lock()
+		for i, res := range results {
+			r.memo[fmt.Sprintf("%s:%s/%s@%d", id, progName, allocs[i], cfg.Seed)] = res
+		}
+		r.mu.Unlock()
+	}
+	return results, nil
+}
+
+// addMetric adds the row name with f of each result.
+func addMetric(t *Table, results []*sim.Result, name string, f func(*sim.Result) string) {
+	cells := []string{name}
+	for _, res := range results {
+		cells = append(cells, f(res))
+	}
+	t.AddRow(cells...)
+}
+
+// halfMemFaultRate is the run's page-fault rate with half the memory
+// its LRU stack needs to hold every page (at least one page).
+func halfMemFaultRate(res *sim.Result) float64 {
+	return res.Curve.FaultRate(max(res.Curve.MinResidentPages()/2, 1))
 }
 
 // ExtVictimCache compares a plain 16 K direct-mapped cache against the
@@ -400,16 +418,22 @@ func (r *Runner) ExtVictimCache(ctx context.Context) (*Table, error) {
 		Note:   r.note(),
 		Header: []string{"Allocator", "direct", "victim", "rescued", "2-way"},
 	}
-	for _, a := range Allocators {
-		plain := cache.New(cache.Config{Size: 16 << 10})
-		victim := cache.NewVictim(cache.Config{Size: 16 << 10}, 4)
-		twoWay := cache.New(cache.Config{Size: 16 << 10, Assoc: 2})
-		if _, err := r.extRun(ctx, "gs-small", a, trace.NewTee(plain, victim, twoWay)); err != nil {
-			return nil, err
-		}
+	victims := make([]*cache.VictimCache, len(Allocators))
+	results, err := r.bundle(ctx, "ext-victim", "gs-small", Allocators, sim.Config{
+		Caches: []cache.Config{{Size: 16 << 10}, {Size: 16 << 10, Assoc: 2}},
+		Sinks: func(lane int) []trace.Sink {
+			victims[lane] = cache.NewVictim(cache.Config{Size: 16 << 10}, 4)
+			return []trace.Sink{victims[lane]}
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, a := range Allocators {
+		plain, twoWay, victim := results[i].Caches[0], results[i].Caches[1], victims[i]
 		rescued := 0.0
-		if plain.Misses() > 0 {
-			rescued = float64(victim.VictimHits()) / float64(plain.Misses())
+		if plain.Misses > 0 {
+			rescued = float64(victim.VictimHits()) / float64(plain.Misses)
 		}
 		t.AddRow(a,
 			f3(plain.MissRate()*100),
@@ -430,18 +454,18 @@ func (r *Runner) ExtCacheFlush(ctx context.Context) (*Table, error) {
 		Note:   r.note(),
 		Header: []string{"Allocator", "no flush", "every 1M refs", "every 128K", "every 16K"},
 	}
-	for _, a := range []string{"firstfit", "quickfit", "gnulocal"} {
-		caches := make([]*cache.Cache, len(intervals))
-		sinks := make([]trace.Sink, len(intervals))
-		for i, iv := range intervals {
-			caches[i] = cache.New(cache.Config{Size: 64 << 10, FlushInterval: iv})
-			sinks[i] = caches[i]
-		}
-		if _, err := r.extRun(ctx, "gs-small", a, trace.NewTee(sinks...)); err != nil {
-			return nil, err
-		}
+	caches := make([]cache.Config, len(intervals))
+	for i, iv := range intervals {
+		caches[i] = cache.Config{Size: 64 << 10, FlushInterval: iv}
+	}
+	allocs := []string{"firstfit", "quickfit", "gnulocal"}
+	results, err := r.bundle(ctx, "ext-flush", "gs-small", allocs, sim.Config{Caches: caches})
+	if err != nil {
+		return nil, err
+	}
+	for i, a := range allocs {
 		row := []string{a}
-		for _, c := range caches {
+		for _, c := range results[i].Caches {
 			row = append(row, f3(c.MissRate()*100))
 		}
 		t.AddRow(row...)
@@ -449,8 +473,10 @@ func (r *Runner) ExtCacheFlush(ctx context.Context) (*Table, error) {
 	return t, nil
 }
 
-// ExtTLB measures TLB locality: a fully-associative LRU TLB is a cache
-// with page-sized lines, simulated with the existing machinery.
+// ExtTLB measures TLB locality. A fully-associative LRU TLB of N
+// entries misses exactly on the references whose LRU page stack
+// distance is N or more (the inclusion property, Mattson et al. 1970),
+// so its miss rate is the page curve's fault rate at N pages.
 func (r *Runner) ExtTLB(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:     "ext-tlb",
@@ -458,24 +484,14 @@ func (r *Runner) ExtTLB(ctx context.Context) (*Table, error) {
 		Note:   r.note(),
 		Header: []string{"Allocator", "8-entry", "16-entry", "64-entry"},
 	}
-	entries := []int{8, 16, 64}
-	for _, a := range Allocators {
-		tlbs := make([]*cache.Cache, len(entries))
-		sinks := make([]trace.Sink, len(entries))
-		for i, n := range entries {
-			tlbs[i] = cache.New(cache.Config{
-				Size:     uint64(n) * mem.PageSize,
-				LineSize: mem.PageSize,
-				Assoc:    n,
-			})
-			sinks[i] = tlbs[i]
-		}
-		if _, err := r.extRun(ctx, "espresso", a, trace.NewTee(sinks...)); err != nil {
-			return nil, err
-		}
+	results, err := r.bundle(ctx, "ext-tlb", "espresso", Allocators, sim.Config{PageSim: true})
+	if err != nil {
+		return nil, err
+	}
+	for i, a := range Allocators {
 		row := []string{a}
-		for _, c := range tlbs {
-			row = append(row, f3(c.MissRate()*100))
+		for _, n := range []uint64{8, 16, 64} {
+			row = append(row, f3(results[i].Curve.FaultRate(n)*100))
 		}
 		t.AddRow(row...)
 	}
@@ -493,87 +509,47 @@ func (r *Runner) ExtLifetime(ctx context.Context) (*Table, error) {
 		Note:   r.note(),
 		Header: append([]string{"Metric"}, allocs...),
 	}
-	type row struct {
-		heapKB uint64
-		faults float64
-		miss   float64
+	results, err := r.bundle(ctx, "ext-lifetime", "espresso", allocs, sim.Config{
+		Caches:  []cache.Config{{Size: 16 << 10}},
+		PageSim: true,
+	})
+	if err != nil {
+		return nil, err
 	}
-	rows := map[string]row{}
-	for _, a := range allocs {
-		prog, _ := workload.ByName("espresso")
-		res, err := sim.RunContext(ctx, sim.Config{
-			Program:   prog,
-			Allocator: a,
-			Scale:     r.Scale,
-			Seed:      r.Seed,
-			Caches:    []cache.Config{{Size: 16 << 10}},
-			PageSim:   true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		half := res.Curve.MinResidentPages() / 2
-		if half == 0 {
-			half = 1
-		}
-		rows[a] = row{
-			heapKB: (res.Footprint + 1023) / 1024,
-			faults: res.Curve.FaultRate(half) * 1e6,
-			miss:   res.Caches[0].MissRate() * 100,
-		}
-	}
-	add := func(name string, f func(row) string) {
-		cells := []string{name}
-		for _, a := range allocs {
-			cells = append(cells, f(rows[a]))
-		}
-		t.AddRow(cells...)
-	}
-	add("heap (KB)", func(r row) string { return fmt.Sprintf("%d", r.heapKB) })
-	add("faults/Mref @ half mem", func(r row) string { return fmt.Sprintf("%.1f", r.faults) })
-	add("16K miss rate (%)", func(r row) string { return f3(r.miss) })
+	addMetric(t, results, "heap (KB)", func(r *sim.Result) string { return fmt.Sprintf("%d", (r.Footprint+1023)/1024) })
+	addMetric(t, results, "faults/Mref @ half mem", func(r *sim.Result) string {
+		return fmt.Sprintf("%.1f", halfMemFaultRate(r)*1e6)
+	})
+	addMetric(t, results, "16K miss rate (%)", func(r *sim.Result) string { return f3(r.Caches[0].MissRate() * 100) })
 	return t, nil
 }
 
 // ExtSequentialFits compares the sequential-fit family the paper's §2.1
 // taxonomy names, on espresso.
 func (r *Runner) ExtSequentialFits(ctx context.Context) (*Table, error) {
-	allocs := []string{"firstfit", "firstfit-norover", "firstfit-addrorder", "firstfit-nocoalesce", "bestfit"}
+	allocs := seqfitAllocators
 	t := &Table{
 		ID:     "ext-seqfit",
 		Title:  "Sequential-fit family on espresso: malloc+free % / heap KB / 16K miss % / 64K miss %",
 		Note:   r.note(),
 		Header: append([]string{"Metric"}, allocs...),
 	}
-	results := map[string]*sim.Result{}
-	for _, a := range allocs {
-		prog, _ := workload.ByName("espresso")
-		res, err := sim.RunContext(ctx, sim.Config{
-			Program:   prog,
-			Allocator: a,
-			Scale:     r.Scale,
-			Seed:      r.Seed,
-			Caches:    []cache.Config{{Size: 16 << 10}, {Size: 64 << 10}},
-		})
+	// The 16 K and 64 K caches are members of every pair's cache group.
+	results := make([]*sim.Result, len(allocs))
+	for i, a := range allocs {
+		res, err := r.Result(ctx, "espresso", a)
 		if err != nil {
 			return nil, err
 		}
-		results[a] = res
+		results[i] = res
 	}
-	add := func(name string, f func(*sim.Result) string) {
-		cells := []string{name}
-		for _, a := range allocs {
-			cells = append(cells, f(results[a]))
-		}
-		t.AddRow(cells...)
-	}
-	add("malloc+free (% time)", func(r *sim.Result) string { return f2(r.AllocFraction() * 100) })
-	add("heap (KB)", func(r *sim.Result) string { return kb(r.Footprint) })
-	add("16K miss (%)", func(r *sim.Result) string {
+	addMetric(t, results, "malloc+free (% time)", func(r *sim.Result) string { return f2(r.AllocFraction() * 100) })
+	addMetric(t, results, "heap (KB)", func(r *sim.Result) string { return kb(r.Footprint) })
+	addMetric(t, results, "16K miss (%)", func(r *sim.Result) string {
 		c, _ := r.CacheResult(16 << 10)
 		return f3(c.MissRate() * 100)
 	})
-	add("64K miss (%)", func(r *sim.Result) string {
+	addMetric(t, results, "64K miss (%)", func(r *sim.Result) string {
 		c, _ := r.CacheResult(64 << 10)
 		return f3(c.MissRate() * 100)
 	})

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -22,48 +24,64 @@ var update = flag.Bool("update", false, "rewrite testdata/golden from current ou
 
 func goldenDir() string { return filepath.Join("testdata", "golden") }
 
-// goldenExtensions are the extension studies. No paper golden covers
-// their numbers: most run simulations of their own, and the ones that
-// read memoized paper pairs compute numbers no paper table prints.
-var goldenExtensions = []string{
-	"ext-penalty", "ext-victim", "ext-flush", "ext-tlb", "ext-lifetime", "ext-seqfit",
-	"ext-taxonomy", "ext-hierarchy", "ext-linesize", "ext-apps", "ext-frag", "ext-seeds",
-}
-
-// goldenTables renders every paper experiment to its versioned JSON
-// document after prefetching the matrix through a worker pool of the
-// given width; workers 0 skips Prefetch, so every pair runs alone
-// through Result as the tables ask for it.
-func goldenTables(t *testing.T, workers int) map[string][]byte {
-	t.Helper()
+// renderTables renders the experiments named by ids to their versioned
+// JSON documents, newline-terminated as the golden files store them, on
+// a Runner with a pool of the given width. Workers 0 runs the tables one
+// by one without Tables' prefetch, so every pair runs alone through
+// Result as the tables ask for it.
+func renderTables(workers int, ids []string) (map[string][]byte, error) {
 	ctx := context.Background()
 	r := NewRunner(GoldenScale)
+	r.Workers = workers
+	var tables []*Table
 	if workers > 0 {
-		r.Workers = workers
-		if err := r.Prefetch(ctx, r.PaperPairs()); err != nil {
-			t.Fatalf("prefetch (workers=%d): %v", workers, err)
+		var err error
+		if tables, err = r.Tables(ctx, ids...); err != nil {
+			return nil, fmt.Errorf("workers=%d: %w", workers, err)
+		}
+	} else {
+		for _, id := range ids {
+			e, ok := r.ByID(id)
+			if !ok {
+				return nil, fmt.Errorf("unknown experiment %q", id)
+			}
+			tab, err := e.Run(ctx)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", id, err)
+			}
+			tables = append(tables, tab)
 		}
 	}
-	out := make(map[string][]byte, len(r.Experiments()))
-	for _, e := range r.Experiments() {
-		out[e.ID] = renderGolden(t, e)
+	out := make(map[string][]byte, len(ids))
+	for i, tab := range tables {
+		b, err := json.MarshalIndent(tab, "", "  ")
+		if err != nil {
+			return nil, fmt.Errorf("%s: marshal: %w", ids[i], err)
+		}
+		out[ids[i]] = append(b, '\n')
 	}
-	return out
+	return out, nil
 }
 
-// renderGolden runs one experiment and returns its indented JSON
-// document, newline-terminated as the golden files store it.
-func renderGolden(t *testing.T, e Experiment) []byte {
+// battery holds the one rendering of every table, paper and extension,
+// that the golden tests of a test binary share.
+var battery struct {
+	once sync.Once
+	docs map[string][]byte
+	err  error
+}
+
+// goldenBattery renders all the tables through Tables at Workers 8, once
+// per test binary, and returns their documents.
+func goldenBattery(t *testing.T) map[string][]byte {
 	t.Helper()
-	tab, err := e.Run(context.Background())
-	if err != nil {
-		t.Fatalf("%s: %v", e.ID, err)
+	battery.once.Do(func() {
+		battery.docs, battery.err = renderTables(8, NewRunner(GoldenScale).Names())
+	})
+	if battery.err != nil {
+		t.Fatal(battery.err)
 	}
-	b, err := json.MarshalIndent(tab, "", "  ")
-	if err != nil {
-		t.Fatalf("%s: marshal: %v", e.ID, err)
-	}
-	return append(b, '\n')
+	return battery.docs
 }
 
 // checkGoldens compares each rendered document with
@@ -104,45 +122,37 @@ func TestGoldenFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden battery runs the full paper matrix")
 	}
-	got := goldenTables(t, 8)
-	var ids []string
-	for _, e := range NewRunner(GoldenScale).Experiments() {
-		ids = append(ids, e.ID)
-	}
-	checkGoldens(t, ids, got)
+	checkGoldens(t, idsOf(NewRunner(GoldenScale).Experiments()), goldenBattery(t))
 }
 
 // TestGoldenExtensions pins every extension table next to the paper's
-// goldens, at the same scale and seed.
+// goldens, at the same scale and seed; a new extension is pinned as
+// soon as the Runner lists it.
 func TestGoldenExtensions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("extension goldens run the twelve extension studies")
 	}
-	r := NewRunner(GoldenScale)
-	got := make(map[string][]byte, len(goldenExtensions))
-	for _, id := range goldenExtensions {
-		e, ok := r.ByID(id)
-		if !ok {
-			t.Fatalf("unknown extension %q", id)
-		}
-		got[id] = renderGolden(t, e)
-	}
-	checkGoldens(t, goldenExtensions, got)
+	checkGoldens(t, idsOf(NewRunner(GoldenScale).extensions()), goldenBattery(t))
 }
 
-// TestGoldenWorkerInvariance reruns the battery at other pool widths —
-// which deal each program's allocators into other bundles — and through
-// lone Result calls, and requires byte-identical documents: neither
-// scheduling order nor bundle composition may leak into results.
+// TestGoldenWorkerInvariance reruns the paper battery at other pool
+// widths — which deal each program's allocators into other bundles and
+// run other tables side by side — and through lone Result calls, and
+// requires byte-identical documents: neither scheduling order nor
+// bundle composition may leak into results.
 func TestGoldenWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden battery runs the full paper matrix four times")
 	}
-	parallel := goldenTables(t, 8)
+	parallel := goldenBattery(t)
+	paper := idsOf(NewRunner(GoldenScale).Experiments())
 	for _, workers := range []int{1, 2, 0} {
-		other := goldenTables(t, workers)
-		for id, want := range parallel {
-			if !bytes.Equal(other[id], want) {
+		other, err := renderTables(workers, paper)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range paper {
+			if !bytes.Equal(other[id], parallel[id]) {
 				t.Errorf("%s: workers=%d (0 = lone Result calls) and workers=8 produced different documents", id, workers)
 			}
 		}

@@ -376,6 +376,27 @@ func TestExtTLBAndLifetimeAndSeqfit(t *testing.T) {
 	}
 }
 
+// TestCheckHeapCoversExtensions: under CheckHeap the extensions' runs
+// go under the heap auditor too, and every run's verdict reaches
+// ShadowSnapshots under a key of its own.
+func TestCheckHeapCoversExtensions(t *testing.T) {
+	r := NewRunner(1024)
+	r.CheckHeap = true
+	if _, err := r.Tables(context.Background(), "ext-seeds", "ext-seqfit"); err != nil {
+		t.Fatal(err)
+	}
+	snaps, _ := r.ShadowSnapshots()
+	// Five seeds of five allocators, and ext-seqfit's memoized pairs.
+	if want := 5*5 + len(seqfitAllocators); len(snaps) != want {
+		t.Errorf("%d verdicts, want %d", len(snaps), want)
+	}
+	for _, k := range []string{"ext-seeds:gs-small/bsd@3", "espresso/bestfit"} {
+		if snaps[k] == nil {
+			t.Errorf("no verdict for %s", k)
+		}
+	}
+}
+
 func TestExtHierarchyAndLineSize(t *testing.T) {
 	r := testRunner()
 	h, err := r.ExtHierarchy(context.Background())

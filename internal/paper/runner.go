@@ -14,6 +14,7 @@ package paper
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -56,22 +57,26 @@ type Runner struct {
 	Seed    uint64
 	Penalty uint64
 
-	// Workers bounds the worker pool used by Prefetch and RunAll, and
-	// with it how Prefetch bundles allocators: each program's N
-	// allocators are dealt into min(Workers, N) bundles, so synthesis is
-	// shared only while Workers < N, and a bundle holds about N/Workers
-	// pipelines at once. 0 means GOMAXPROCS; 1 runs one bundle per
-	// program, sequentially. The results are byte-identical at every
-	// width and bundle size — only wall-clock and memory change.
+	// Workers bounds the worker pool, which runs Prefetch's bundles and
+	// then Tables' table jobs, and with it how Prefetch bundles
+	// allocators: each program's N allocators are dealt into
+	// min(Workers, N) bundles, so synthesis is shared only while
+	// Workers < N, and a bundle holds about N/Workers pipelines at once.
+	// 0 means GOMAXPROCS; 1 runs one bundle per program, and then one
+	// table at a time. The results are byte-identical at every width and
+	// bundle size — only wall-clock and memory change.
 	Workers int
 
-	// CheckHeap runs every simulation under the shadow heap auditor
+	// CheckHeap runs every simulation that goes through sim, the
+	// extensions' included, under the shadow heap auditor
 	// (sim.Config.CheckHeap). The auditor is host-side only, so all
-	// paper metrics stay byte-identical; violations are collected per
-	// pair and aggregated by ShadowSnapshots.
+	// metrics stay byte-identical; violations are collected per run and
+	// aggregated by ShadowSnapshots.
 	CheckHeap bool
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// memo holds each pair's result under "program/allocator" and, under
+	// CheckHeap, each extension run's under "table:program/allocator@seed".
 	memo     map[string]*sim.Result
 	inflight map[string]*flight
 }
@@ -218,9 +223,8 @@ func (r *Runner) runBundle(ctx context.Context, progName string, allocs []string
 }
 
 // ShadowSnapshots returns the heap-auditor verdicts of every memoized
-// run, keyed "program/allocator" in sorted order, plus the total
-// violation count. Empty unless the Runner was configured with
-// CheckHeap.
+// run, keyed as the memo keys them, plus the total violation count.
+// Empty unless the Runner was configured with CheckHeap.
 func (r *Runner) ShadowSnapshots() (map[string]*shadow.Snapshot, uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -263,26 +267,9 @@ type Pair struct {
 func (r *Runner) Prefetch(ctx context.Context, pairs []Pair) error {
 	jobs := r.plan(pairs)
 	errs := make([][]error, len(jobs))
-	workers := r.workerCount()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				_, errs[i] = r.simulate(ctx, jobs[i].program, jobs[i].allocs)
-			}
-		}()
-	}
-	for i := range jobs {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
+	r.forEach(len(jobs), func(i int) {
+		_, errs[i] = r.simulate(ctx, jobs[i].program, jobs[i].allocs)
+	})
 	for _, jerrs := range errs {
 		for _, err := range jerrs {
 			if err != nil {
@@ -291,6 +278,28 @@ func (r *Runner) Prefetch(ctx context.Context, pairs []Pair) error {
 		}
 	}
 	return nil
+}
+
+// forEach calls fn(i) for every i in [0, n) on a pool of at most Workers
+// goroutines, handing the indexes out in order, and returns when every
+// call has returned.
+func (r *Runner) forEach(n int, fn func(i int)) {
+	work := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < min(r.workerCount(), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		work <- i
+	}
+	close(work)
+	wg.Wait()
 }
 
 // job is one unit of Prefetch's pool: a bundle of one program's
@@ -386,9 +395,8 @@ func (r *Runner) AllExperiments() []Experiment {
 	return append(r.Experiments(), r.extensions()...)
 }
 
-// PairsFor returns the (program, allocator) simulations the given paper
-// experiments draw on, deduplicated in first-use order. Extension
-// experiments run their own ad-hoc simulations and contribute nothing.
+// PairsFor returns the memoized (program, allocator) simulations the
+// given experiments draw on, deduplicated in first-use order.
 func (r *Runner) PairsFor(ids ...string) []Pair {
 	seen := map[Pair]bool{}
 	var out []Pair
@@ -447,6 +455,10 @@ func (r *Runner) PairsFor(ids ...string) []Pair {
 					out = append(out, pair)
 				}
 			}
+		case "ext-penalty":
+			add(one("gs"), penaltyAllocators...)
+		case "ext-seqfit":
+			add(one("espresso"), seqfitAllocators...)
 		}
 	}
 	return out
@@ -455,41 +467,64 @@ func (r *Runner) PairsFor(ids ...string) []Pair {
 // PaperPairs returns the full simulation matrix behind the paper's
 // tables and figures.
 func (r *Runner) PaperPairs() []Pair {
-	var ids []string
-	for _, e := range r.Experiments() {
-		ids = append(ids, e.ID)
-	}
-	return r.PairsFor(ids...)
+	return r.PairsFor(idsOf(r.Experiments())...)
 }
 
-// RunAll executes every paper experiment (not the extensions),
-// returning tables in paper order. The underlying simulation matrix is
-// prefetched through the Workers-bounded pool first, so independent
-// (program, allocator) runs use all cores; table assembly then proceeds
-// sequentially from the memo, keeping the output byte-identical to a
-// Workers=1 run. A done ctx aborts both phases promptly.
+// RunAll executes every paper experiment (not the extensions) through
+// Tables, returning tables in paper order.
 func (r *Runner) RunAll(ctx context.Context) ([]*Table, error) {
-	if err := r.Prefetch(ctx, r.PaperPairs()); err != nil {
+	return r.Tables(ctx, idsOf(r.Experiments())...)
+}
+
+// ErrUnknownExperiment reports an id that names no experiment.
+var ErrUnknownExperiment = errors.New("paper: unknown experiment")
+
+// Tables runs the experiments named by ids, paper or extension, and
+// returns their tables in id order. It prefetches every pair they draw
+// on (PairsFor), then runs the experiments themselves as jobs on the
+// Workers pool. Every table is a function of the Runner's settings
+// alone, so the output is byte-identical at any width. An unknown id
+// fails before anything runs; otherwise Tables returns Prefetch's error
+// or the first table error in id order. A done ctx aborts both phases
+// promptly.
+func (r *Runner) Tables(ctx context.Context, ids ...string) ([]*Table, error) {
+	exps := make([]Experiment, len(ids))
+	for i, id := range ids {
+		e, ok := r.ByID(id)
+		if !ok {
+			return nil, fmt.Errorf("%w %q", ErrUnknownExperiment, id)
+		}
+		exps[i] = e
+	}
+	if err := r.Prefetch(ctx, r.PairsFor(ids...)); err != nil {
 		return nil, err
 	}
-	var out []*Table
-	for _, e := range r.Experiments() {
-		if err := ctx.Err(); err != nil {
-			return out, fmt.Errorf("%s: %w", e.ID, context.Cause(ctx))
+	tables := make([]*Table, len(exps))
+	errs := make([]error, len(exps))
+	r.forEach(len(exps), func(i int) {
+		err := context.Cause(ctx)
+		if err == nil {
+			tables[i], err = exps[i].Run(ctx)
 		}
-		t, err := e.Run(ctx)
 		if err != nil {
-			return out, fmt.Errorf("%s: %w", e.ID, err)
+			errs[i] = fmt.Errorf("%s: %w", exps[i].ID, err)
 		}
-		out = append(out, t)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
-	return out, nil
+	return tables, nil
 }
 
 // Names returns every experiment ID in order, extensions included.
-func (r *Runner) Names() []string {
+func (r *Runner) Names() []string { return idsOf(r.AllExperiments()) }
+
+// idsOf returns the experiments' IDs, in order.
+func idsOf(exps []Experiment) []string {
 	var out []string
-	for _, e := range r.AllExperiments() {
+	for _, e := range exps {
 		out = append(out, e.ID)
 	}
 	return out

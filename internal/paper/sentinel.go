@@ -233,14 +233,11 @@ type Sentinel struct {
 func (s *Sentinel) Run(ctx context.Context) (*SentinelReport, error) {
 	ids := s.Experiments
 	if len(ids) == 0 {
-		for _, e := range s.Runner.Experiments() {
-			ids = append(ids, e.ID)
-		}
+		ids = idsOf(s.Runner.Experiments())
 	}
-	// Warm the simulation matrix through the worker pool; table
-	// assembly below is then pure lookup.
-	if err := s.Runner.Prefetch(ctx, s.Runner.PairsFor(ids...)); err != nil {
-		return nil, err
+	tables, err := s.Runner.Tables(ctx, ids...)
+	if err != nil {
+		return nil, fmt.Errorf("paper: sentinel replay: %w", err)
 	}
 	rep := &SentinelReport{
 		Version:   SentinelVersion,
@@ -249,16 +246,8 @@ func (s *Sentinel) Run(ctx context.Context) (*SentinelReport, error) {
 		Seed:      s.Runner.Seed,
 		Threshold: s.Threshold,
 	}
-	for _, id := range ids {
-		exp, ok := s.Runner.ByID(id)
-		if !ok {
-			return nil, fmt.Errorf("paper: unknown experiment %q", id)
-		}
-		cur, err := exp.Run(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("paper: sentinel replay %s: %w", id, err)
-		}
-		curRaw, err := EncodeTable(cur)
+	for i, id := range ids {
+		curRaw, err := EncodeTable(tables[i])
 		if err != nil {
 			return nil, fmt.Errorf("paper: sentinel encode %s: %w", id, err)
 		}
@@ -272,7 +261,7 @@ func (s *Sentinel) Run(ctx context.Context) (*SentinelReport, error) {
 		case err != nil:
 			return nil, err
 		default:
-			d := DiffTables(base, cur, s.Threshold)
+			d := DiffTables(base, tables[i], s.Threshold)
 			d.Identical = string(curRaw) == string(baseRaw)
 			if d.Status == "regression" {
 				rep.Regressions++

@@ -3,10 +3,12 @@ package sim
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mallocsim/internal/cache"
 	"mallocsim/internal/obs"
+	"mallocsim/internal/trace"
 	"mallocsim/internal/workload"
 )
 
@@ -69,6 +71,46 @@ func TestRunBundleRejectsSingleRunObservers(t *testing.T) {
 		}
 		if _, errs := RunBundle(context.Background(), cfg, []string{"firstfit"}); errs[0] != nil {
 			t.Errorf("one-allocator bundle: %v", errs[0])
+		}
+	}
+}
+
+// TestRunBundleRejectsBadCacheLists: a cache list cache.ValidateGroup
+// rejects fails every lane with its error instead of panicking.
+func TestRunBundleRejectsBadCacheLists(t *testing.T) {
+	prog, _ := workload.ByName("gawk")
+	for _, caches := range [][]cache.Config{
+		{{Size: 3000}},
+		{{Size: 16 << 10}, {Size: 16 << 10, LineSize: 64}},
+	} {
+		cfg := Config{Program: prog, Scale: 1024, Caches: caches}
+		want := cache.ValidateGroup(caches...)
+		res, errs := RunBundle(context.Background(), cfg, []string{"bsd", "firstfit"})
+		for i := range errs {
+			if errs[i] == nil || res[i] != nil || !strings.Contains(errs[i].Error(), want.Error()) {
+				t.Errorf("caches %v lane %d: result %v, error %v; want %q", caches, i, res[i], errs[i], want)
+			}
+		}
+	}
+}
+
+// TestRunBundleSinks: Config.Sinks gives every lane sinks of its own,
+// which see the lane's whole reference stream.
+func TestRunBundleSinks(t *testing.T) {
+	prog, _ := workload.ByName("gawk")
+	allocs := []string{"bsd", "firstfit", "quickfit"}
+	counters := make([]*trace.Counter, len(allocs))
+	cfg := Config{Program: prog, Scale: 1024, Sinks: func(lane int) []trace.Sink {
+		counters[lane] = &trace.Counter{}
+		return []trace.Sink{counters[lane]}
+	}}
+	res, errs := RunBundle(context.Background(), cfg, allocs)
+	for i, a := range allocs {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", a, errs[i])
+		}
+		if *counters[i] != res[i].Refs {
+			t.Errorf("%s: lane sink counted %+v, the pipeline's counter %+v", a, *counters[i], res[i].Refs)
 		}
 	}
 }

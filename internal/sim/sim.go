@@ -60,6 +60,11 @@ type Config struct {
 	Caches []cache.Config
 	// PageSim enables LRU stack-distance page-fault simulation.
 	PageSim bool
+	// Sinks, when non-nil, adds sinks to each lane's tee beside the
+	// counter, the cache group and the page simulator. It is called once
+	// per lane with the lane's index into RunBundle's allocators, and
+	// must return fresh sinks, which the caller reads after the run.
+	Sinks func(lane int) []trace.Sink
 
 	// Recorder, when non-nil, enables the observability layer: the
 	// allocator is wrapped with obs.Instrument and per-call metrics
@@ -173,6 +178,11 @@ func RunBundle(ctx context.Context, cfg Config, allocators []string) ([]*Result,
 	if len(allocators) > 1 && (cfg.Recorder != nil || cfg.Attribution) {
 		return failAll(errors.New("a Recorder or Attribution observes one run, not a bundle"))
 	}
+	if len(cfg.Caches) > 0 {
+		if err := cache.ValidateGroup(cfg.Caches...); err != nil {
+			return failAll(err)
+		}
+	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
@@ -246,21 +256,21 @@ func newPipelines(cfg Config, allocators []string, errs []error) ([]*pipeline, [
 	var pipes []*pipeline
 	var lanes []workload.Lane
 	for i, name := range allocators {
-		p, err := newPipeline(cfg, name)
+		p, err := newPipeline(cfg, i, name)
 		if err != nil {
 			errs[i] = err
 			continue
 		}
-		p.lane = i
 		pipes = append(pipes, p)
 		lanes = append(lanes, workload.Lane{Mem: p.m, Alloc: p.a})
 	}
 	return pipes, lanes
 }
 
-// newPipeline wires one allocator's memory, sinks and wrappers.
-func newPipeline(cfg Config, allocName string) (*pipeline, error) {
-	p := &pipeline{meter: &cost.Meter{}}
+// newPipeline wires one allocator's memory, sinks and wrappers for the
+// bundle's lane; RunBundle has validated cfg.Caches.
+func newPipeline(cfg Config, lane int, allocName string) (*pipeline, error) {
+	p := &pipeline{lane: lane, meter: &cost.Meter{}}
 	sinks := []trace.Sink{&p.counter}
 	if len(cfg.Caches) > 0 {
 		p.group = cache.NewGroup(cfg.Caches...)
@@ -269,6 +279,9 @@ func newPipeline(cfg Config, allocName string) (*pipeline, error) {
 	if cfg.PageSim {
 		p.pages = vm.NewStackSim()
 		sinks = append(sinks, p.pages)
+	}
+	if cfg.Sinks != nil {
+		sinks = append(sinks, cfg.Sinks(lane)...)
 	}
 
 	m := mem.New(trace.NewTee(sinks...), p.meter)
