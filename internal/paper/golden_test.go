@@ -145,13 +145,13 @@ func TestGoldenWorkerInvariance(t *testing.T) {
 		t.Skip("golden battery runs the full paper matrix four times")
 	}
 	parallel := goldenBattery(t)
-	paper := idsOf(NewRunner(GoldenScale).Experiments())
+	ids := idsOf(NewRunner(GoldenScale).Experiments())
 	for _, workers := range []int{1, 2, 0} {
-		other, err := renderTables(workers, paper)
+		other, err := renderTables(workers, ids)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, id := range paper {
+		for _, id := range ids {
 			if !bytes.Equal(other[id], parallel[id]) {
 				t.Errorf("%s: workers=%d (0 = lone Result calls) and workers=8 produced different documents", id, workers)
 			}
