@@ -336,14 +336,13 @@ func (r *blockRecorder) Block(b *trace.Block) {
 
 // recordPair runs one program/allocator pair at the golden scale, seed
 // 1, and returns the blocks mem.Memory flushes to the sinks of a
-// paper.Runner pair, with their total reference count. It runs outside
-// the timer of the replay benchmarks that share it.
-func recordPair(b *testing.B, program, allocator string) ([]trace.Block, int) {
+// paper.Runner pair, with their total reference count, and the Memory
+// that made them, whose RegionIndex classifies their addresses. Like
+// the Runner, it takes program from the server scenarios first
+// (workload.RunServerContext) and from the program catalog otherwise.
+// It runs outside the timer of the replay benchmarks that share it.
+func recordPair(b *testing.B, program, allocator string) ([]trace.Block, int, *mem.Memory) {
 	b.Helper()
-	prog, ok := workload.ByName(program)
-	if !ok {
-		b.Fatalf("unknown program %s", program)
-	}
 	rec := &blockRecorder{}
 	m := mem.New(rec, &cost.Meter{})
 	m.SetBatching(0)
@@ -351,8 +350,15 @@ func recordPair(b *testing.B, program, allocator string) ([]trace.Block, int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := workload.Config{Program: prog, Scale: paper.GoldenScale, Seed: 1}
-	if _, err := workload.RunContext(context.Background(), m, a, cfg); err != nil {
+	ctx := context.Background()
+	if scen, ok := workload.ServerByName(program); ok {
+		_, err = workload.RunServerContext(ctx, m, a, workload.ServerRunConfig{Scenario: scen, Scale: paper.GoldenScale, Seed: 1})
+	} else if prog, ok := workload.ByName(program); ok {
+		_, err = workload.RunContext(ctx, m, a, workload.Config{Program: prog, Scale: paper.GoldenScale, Seed: 1})
+	} else {
+		b.Fatalf("unknown program %s", program)
+	}
+	if err != nil {
 		b.Fatal(err)
 	}
 	m.Flush()
@@ -360,7 +366,7 @@ func recordPair(b *testing.B, program, allocator string) ([]trace.Block, int) {
 	for i := range rec.blocks {
 		refs += rec.blocks[i].Refs()
 	}
-	return rec.blocks, refs
+	return rec.blocks, refs, m
 }
 
 // nsPerRef reports a replay benchmark's elapsed time per replayed
@@ -517,7 +523,7 @@ func BenchmarkAllocatorPairReplay(b *testing.B) {
 // paper-paging experiments, with real page locality, where
 // BenchmarkStackSimSweepExact's random addresses have almost none.
 func BenchmarkStackSimPairReplay(b *testing.B) {
-	blocks, refs := recordPair(b, "gs", "firstfit")
+	blocks, refs, _ := recordPair(b, "gs", "firstfit")
 	b.ResetTimer()
 	var pages int
 	for i := 0; i < b.N; i++ {
@@ -540,7 +546,7 @@ func BenchmarkStackSimPairReplay(b *testing.B) {
 // the unbatched per-reference stream (ref). block against ref on each
 // shape is the measured reason both block paths stay.
 func BenchmarkCacheGroupPairReplay(b *testing.B) {
-	blocks, refs := recordPair(b, "gs", "firstfit")
+	blocks, refs, _ := recordPair(b, "gs", "firstfit")
 	var flat []trace.Ref
 	for i := range blocks {
 		flat = blocks[i].AppendRefs(flat)
@@ -653,6 +659,35 @@ func BenchmarkSharingMultiRegion(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blk.Refs()), "ns/ref")
 	b.ReportMetric(float64(events), "events")
+}
+
+// BenchmarkSharingPairReplay replays three recorded server pairs —
+// server/bsd, server/firstfit and server/locarena at the golden scale,
+// seed 1, as mem.Memory flushes them to the sinks of a paper.Runner
+// server pair — into a fresh sharing attributor per op, which
+// classifies regions through the recording Memory's RegionIndex as sim
+// does, and assembles its report: cache.Sharing's stage of the layer
+// ladder, on a real pair's address space and thread interleaving. B/op
+// is the attributor's coherence state for one pair.
+func BenchmarkSharingPairReplay(b *testing.B) {
+	for _, allocator := range []string{"bsd", "firstfit", "locarena"} {
+		blocks, refs, m := recordPair(b, "server", allocator)
+		b.Run(allocator, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			var events uint64
+			for i := 0; i < b.N; i++ {
+				s := cache.NewSharing(cache.SharingConfig{RegionOf: m.RegionIndex})
+				for j := range blocks {
+					s.Block(&blocks[j])
+				}
+				rep := s.Report()
+				events = rep.True + rep.False
+			}
+			nsPerRef(b, refs)
+			b.ReportMetric(float64(events), "events")
+		})
+	}
 }
 
 // BenchmarkTeeBatch compares synchronous per-ref delivery against the

@@ -90,7 +90,7 @@ if [ -d "$baseline" ]; then
   fi
 fi
 
-micro='BenchmarkWorkloadSynthesis$|BenchmarkAllocatorPairReplay$|BenchmarkCacheDirectMapped$|BenchmarkCacheGroupSweep$|BenchmarkCacheGroupBlockSweep$|BenchmarkCacheGroupPairReplay$|BenchmarkSharingMultiRegion$|BenchmarkStackSimRef$|BenchmarkStackSimSweepExact$|BenchmarkStackSimPairReplay$'
+micro='BenchmarkWorkloadSynthesis$|BenchmarkAllocatorPairReplay$|BenchmarkCacheDirectMapped$|BenchmarkCacheGroupSweep$|BenchmarkCacheGroupBlockSweep$|BenchmarkCacheGroupPairReplay$|BenchmarkSharingMultiRegion$|BenchmarkSharingPairReplay$|BenchmarkStackSimRef$|BenchmarkStackSimSweepExact$|BenchmarkStackSimPairReplay$'
 matrix='BenchmarkRunAllParallel$|BenchmarkServerWorkload$'
 
 {
@@ -103,9 +103,9 @@ matrix='BenchmarkRunAllParallel$|BenchmarkServerWorkload$'
     # firstfit on a batched Memory), cache simulator hot paths (per-ref
     # and columnar block delivery, and the cache group's replay of a
     # recorded gs/firstfit reference stream), the sharing attributor
-    # over a server pair's multi-region layout, and the LRU stack
-    # engine (per-ref, block, and the replay of the same recorded
-    # stream).
+    # (over a server pair's multi-region layout, and replaying three
+    # recorded server pairs), and the LRU stack engine (per-ref, block,
+    # and the replay of the recorded gs/firstfit stream).
     go test -run '^$' -bench "$micro" -benchtime "$benchtime" -count 1 .
     # Full experiment matrix through the parallel runner, plus the
     # concurrent server sweep: one iteration per sample (they
