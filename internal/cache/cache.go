@@ -365,8 +365,8 @@ type lineSet struct {
 	dir mem.PageDir[lineSetPage]
 }
 
-// dirPageShift is log2 of the lines one page of a line-keyed directory
-// (lineSet, Sharing's coherence state) covers.
+// dirPageShift is log2 of the lines one lineSet page covers (Sharing's
+// coherence pages use their own, sharePageShift).
 const dirPageShift = 12
 
 type lineSetPage [1 << (dirPageShift - 6)]uint64

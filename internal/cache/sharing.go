@@ -26,10 +26,11 @@ import (
 // for concurrent use.
 //
 // Thread identities come from trace.Ref.Tid / trace.Block.Tids. Holder
-// sets are 64-bit masks, so tids alias modulo 64; workloads stay well
-// under that (the server scenarios use at most a few dozen threads).
-// A workload that never stamps tids produces no events: every access
-// comes from thread 0, which always holds its own lines.
+// sets are 64-bit masks, so a tid must be below 64: Ref and Block panic
+// on a larger one rather than let it share a holder bit with another
+// thread (the server driver runs at most 63 threads). A workload that
+// never stamps tids produces no events: every access comes from thread
+// 0, which always holds its own lines.
 type Sharing struct {
 	lineShift uint
 	lineSize  uint64
@@ -38,7 +39,7 @@ type Sharing struct {
 	pages mem.PageDir[sharePage] // per-line coherence state
 	// counts holds one page of per-tid rows per region, indexed by
 	// region: the zero directory gives each region its own span.
-	counts    mem.PageDir[[64]shareCount]
+	counts    mem.PageDir[[maxTids]shareCount]
 	pingLines *lineSet
 	trueEv    uint64
 	falseEv   uint64
@@ -57,9 +58,20 @@ type SharingConfig struct {
 	RegionOf func(addr uint64) int
 }
 
-const sharePageLines = 1 << dirPageShift
+// maxTids bounds the thread ids a Sharing accepts: one holder bit each.
+const maxTids = 64
 
-// sharePage holds the coherence state of 4096 consecutive lines in
+// sharePageShift is log2 of the lines one coherence page covers: 512
+// lines in 8,704 bytes (1 + 8 + 8 bytes a line), an eighth of a lineSet
+// page (dirPageShift). A server pair's lines scatter over its heap
+// regions, thread stacks and globals, so at 4,096 lines a page most of
+// its pages were nearly empty: a pair held 0.7–1.1 MB of coherence
+// state at the golden scale, against about 0.2 MB at 512.
+const sharePageShift = 9
+
+const sharePageLines = 1 << sharePageShift
+
+// sharePage holds the coherence state of 512 consecutive lines in
 // parallel arrays. owner is the last writer's tid plus one (0 = never
 // written); holders is the mask of tids with a valid copy; written is
 // the word-granular footprint accumulated by the current owner while it
@@ -93,7 +105,7 @@ func NewSharing(cfg SharingConfig) *Sharing {
 		lineShift: shift,
 		lineSize:  cfg.LineSize,
 		regionOf:  cfg.RegionOf,
-		pages:     mem.NewPageDir[sharePage](shift + dirPageShift),
+		pages:     mem.NewPageDir[sharePage](shift + sharePageShift),
 		pingLines: newLineSet(shift),
 	}
 }
@@ -104,8 +116,11 @@ func wordSpanMask(w0, w1 uint64) uint64 {
 	return (^uint64(0) << w0) & (^uint64(0) >> (63 - w1))
 }
 
-// Ref implements trace.Sink.
+// Ref implements trace.Sink. It panics on a tid of 64 or more.
 func (s *Sharing) Ref(r trace.Ref) {
+	if r.Tid >= maxTids {
+		badTid(r.Tid)
+	}
 	s.access(r.Addr, r.Size, r.Kind, r.Tid)
 }
 
@@ -113,13 +128,16 @@ func (s *Sharing) Ref(r trace.Ref) {
 // protocol transition per line (equivalent to element-by-element
 // delivery: only a line's first element can suffer the event, and the
 // remaining elements only widen the sole-owner write footprint);
-// contract-violating rows are expanded element by element.
+// contract-violating rows are expanded element by element. It panics on
+// a tid of 64 or more.
 func (s *Sharing) Block(b *trace.Block) {
 	runs, tids := b.Runs, b.Tids
 	for i, addr := range b.Addrs {
 		var tid uint8
 		if tids != nil {
-			tid = tids[i]
+			if tid = tids[i]; tid >= maxTids {
+				badTid(tid)
+			}
 		}
 		if runs != nil && runs[i] != 1 {
 			s.runRow(addr, b.Sizes[i], b.Kinds[i], runs[i], tid)
@@ -127,6 +145,15 @@ func (s *Sharing) Block(b *trace.Block) {
 		}
 		s.access(addr, b.Sizes[i], b.Kinds[i], tid)
 	}
+}
+
+// badTid reports a tid the holder masks cannot represent: the cold path
+// of Ref and Block, kept out of line so they build no message
+// themselves.
+//
+//go:noinline
+func badTid(tid uint8) {
+	panic(fmt.Sprintf("cache: sharing tid %d out of range: holder masks cover tids 0..%d", tid, maxTids-1))
 }
 
 // access applies one reference: every line it touches sees one protocol
@@ -206,28 +233,27 @@ func (s *Sharing) runRow(addr uint64, size uint32, k trace.Kind, n uint32, tid u
 // event (if any) is classified against, update the word mask a write
 // deposits. For plain references the two coincide.
 func (s *Sharing) accessLine(line, classify, update uint64, write bool, tid uint8) {
-	p := s.pages.Lookup(line >> dirPageShift)
+	p := s.pages.Lookup(line >> sharePageShift)
 	i := line & (sharePageLines - 1)
-	t := tid & 63
-	bit := uint64(1) << t
+	bit := uint64(1) << tid
 	holders := p.holders[i]
 	if write {
 		if holders&bit == 0 && p.owner[i] != 0 {
-			s.event(line, t, classify&p.written[i] != 0)
+			s.event(line, tid, classify&p.written[i] != 0)
 		}
-		if p.owner[i] == t+1 && holders == bit {
+		if p.owner[i] == tid+1 && holders == bit {
 			// Still the sole holder: the write footprint accumulates.
 			p.written[i] |= update
 		} else {
 			p.written[i] = update
 		}
-		p.owner[i] = t + 1
+		p.owner[i] = tid + 1
 		p.holders[i] = bit
 		return
 	}
 	if holders&bit == 0 {
 		if p.owner[i] != 0 {
-			s.event(line, t, classify&p.written[i] != 0)
+			s.event(line, tid, classify&p.written[i] != 0)
 		}
 		p.holders[i] = holders | bit
 	}
@@ -282,7 +308,7 @@ func (s *Sharing) Events() uint64 { return s.trueEv + s.falseEv }
 // the stream is flushed.
 func (s *Sharing) Report() SharingReport {
 	var rows []SharingRow
-	s.counts.Each(func(region uint64, c *[64]shareCount) {
+	s.counts.Each(func(region uint64, c *[maxTids]shareCount) {
 		for tid, n := range c {
 			if n.trueEv+n.falseEv != 0 {
 				rows = append(rows, SharingRow{Region: int(region), Tid: uint8(tid), True: n.trueEv, False: n.falseEv})

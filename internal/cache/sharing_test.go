@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"mallocsim/internal/mem"
@@ -70,7 +71,7 @@ func (o *shareOracle) ref(r trace.Ref) {
 }
 
 func (o *shareOracle) line(line, mask uint64, write bool, tid uint8) {
-	t := int(tid & 63)
+	t := int(tid)
 	bit := uint64(1) << t
 	holders := o.holders[line]
 	if write {
@@ -216,6 +217,52 @@ func TestSharingSingleThreadSilent(t *testing.T) {
 	}
 }
 
+// TestSharingRejectsWideTids: holder masks have one bit per tid, so tid
+// 64 would share tid 0's bit and its transfers would go uncounted. Ref
+// and Block, plain and run rows, panic on it instead, naming the tid;
+// tid 63, the last that fits, is an ordinary thread.
+func TestSharingRejectsWideTids(t *testing.T) {
+	write := trace.Ref{Addr: 64, Size: mem.WordSize, Kind: trace.Write}
+	cases := []struct {
+		name    string
+		deliver func(s *Sharing, tid uint8)
+	}{
+		{"ref", func(s *Sharing, tid uint8) {
+			s.Ref(write)
+			s.Ref(trace.Ref{Addr: 64, Size: mem.WordSize, Tid: tid})
+		}},
+		{"block", func(s *Sharing, tid uint8) {
+			b := &trace.Block{}
+			b.Append(write)
+			b.Append(trace.Ref{Addr: 64, Size: mem.WordSize, Tid: tid})
+			s.Block(b)
+		}},
+		{"block-run", func(s *Sharing, tid uint8) {
+			b := &trace.Block{}
+			b.Append(write)
+			b.AppendRunTid(64, mem.WordSize, trace.Read, 4, tid)
+			s.Block(b)
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := NewSharing(SharingConfig{})
+			c.deliver(s, 63)
+			if got := s.Events(); got != 1 {
+				t.Fatalf("tid 63 read of tid 0's line: %d events, want 1", got)
+			}
+			var msg string
+			func() {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				c.deliver(NewSharing(SharingConfig{}), 64)
+			}()
+			if !strings.Contains(msg, "tid 64") {
+				t.Errorf("tid 64: recovered %q, want a panic naming tid 64", msg)
+			}
+		})
+	}
+}
+
 // serverLayout builds a mem.Memory with a server pair's region layout —
 // three allocator regions, eight 64 KB thread stacks and the globals —
 // and one block that writes a run into every region as thread 0 and
@@ -248,8 +295,7 @@ func serverLayout(t testing.TB) (*mem.Memory, *trace.Block) {
 // address. A flat table indexed by line page reached ~8 MB of page
 // pointers per table (Group's cold-line set, Sharing's coherence pages
 // and its ping lines); the directory needs a few short span tables,
-// leaving the coherence pages themselves (68 KB per touched region) as
-// the bulk of the allocation.
+// next to the coherence pages themselves (8.5 KB per touched region).
 func TestMultiRegionTablesStaySmall(t *testing.T) {
 	m, b := serverLayout(t)
 	var before, after runtime.MemStats

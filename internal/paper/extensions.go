@@ -36,11 +36,13 @@ import (
 	"mallocsim/internal/alloc"
 )
 
-// The allocators of the two extensions that read memoized pairs; PairsFor
-// lists the same pairs.
+// The allocators of the two extensions that read memoized pairs, and
+// ext-seeds' workload seeds, whose seed equal to the Runner's reads the
+// gs-small pairs; PairsFor lists the same pairs.
 var (
 	penaltyAllocators = []string{"firstfit", "bsd", "quickfit", "gnulocal"}
 	seqfitAllocators  = []string{"firstfit", "firstfit-norover", "firstfit-addrorder", "firstfit-nocoalesce", "bestfit"}
+	sweepSeeds        = []uint64{1, 2, 3, 4, 5}
 )
 
 // extensions returns the extension experiment index.
@@ -65,10 +67,12 @@ func (r *Runner) extensions() []Experiment {
 // several workload seeds. The paper's tooling was deterministic and
 // needed no averaging; our synthetic workloads are deterministic too,
 // but parameterized by a seed — this experiment shows the paper-shape
-// conclusions are not artifacts of one draw.
+// conclusions are not artifacts of one draw. At the Runner's own seed
+// it reads the memoized gs-small pairs (figure6's), whose cache group
+// holds the 16 K cache; every other seed runs one bundle.
 func (r *Runner) ExtSeedSensitivity(ctx context.Context) (*Table, error) {
-	allocs := []string{"firstfit", "gnufit", "bsd", "gnulocal", "quickfit"}
-	seeds := []uint64{1, 2, 3, 4, 5}
+	allocs := Allocators
+	seeds := sweepSeeds
 	t := &Table{
 		ID:     "ext-seeds",
 		Title:  "GS-Small 16K miss rate (%) across workload seeds (min / mean / max)",
@@ -78,15 +82,22 @@ func (r *Runner) ExtSeedSensitivity(ctx context.Context) (*Table, error) {
 	// rates[allocator][seed index]
 	rates := make(map[string][]float64)
 	for _, seed := range seeds {
-		results, err := r.bundle(ctx, "ext-seeds", "gs-small", allocs, sim.Config{
-			Seed:   seed,
-			Caches: []cache.Config{{Size: 16 << 10}},
-		})
+		var results []*sim.Result
+		var err error
+		if seed == r.Seed {
+			results, err = r.results(ctx, "gs-small", allocs)
+		} else {
+			results, err = r.bundle(ctx, "ext-seeds", "gs-small", allocs, sim.Config{
+				Seed:   seed,
+				Caches: []cache.Config{{Size: 16 << 10}},
+			})
+		}
 		if err != nil {
 			return nil, err
 		}
 		for i, a := range allocs {
-			rates[a] = append(rates[a], results[i].Caches[0].MissRate()*100)
+			c, _ := results[i].CacheResult(16 << 10)
+			rates[a] = append(rates[a], c.MissRate()*100)
 		}
 	}
 	// Per seed, which allocator had the worst miss rate?
@@ -167,7 +178,10 @@ func (r *Runner) ExtFragmentation(ctx context.Context) (*Table, error) {
 // computing in simulated memory — under each allocator, reporting the
 // malloc+free instruction share, heap footprint and 16 K miss rate.
 // The checksum column is the end-to-end correctness oracle: it must be
-// identical down each app's row.
+// identical down each app's row. The (kernel, allocator) cells share
+// nothing, so they run as jobs on the Workers pool; errors and checksum
+// mismatches are reported in (kernel, allocator) order, as a sequential
+// sweep would meet them.
 func (r *Runner) ExtApps(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:     "ext-apps",
@@ -179,44 +193,60 @@ func (r *Runner) ExtApps(ctx context.Context) (*Table, error) {
 	if size < 200 {
 		size = 200
 	}
-	for _, appName := range apps.Names() {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("ext-apps: %w", context.Cause(ctx))
-		}
-		app, _ := apps.Get(appName)
+	kernels := apps.Names()
+	cells := make([]appCell, len(kernels)*len(Allocators))
+	r.forEach(len(cells), func(i int) {
+		cells[i] = runAppCell(ctx, kernels[i/len(Allocators)], Allocators[i%len(Allocators)], size, r.Seed)
+	})
+	for k, appName := range kernels {
 		row := []string{appName}
-		var want uint64
+		want := cells[k*len(Allocators)].sum
 		for i, allocName := range Allocators {
-			// Each iteration replays a whole kernel; poll per allocator so
-			// cancellation lands between kernels, not after the full row.
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("ext-apps: %w", context.Cause(ctx))
+			c := cells[k*len(Allocators)+i]
+			if c.err != nil {
+				return nil, c.err
 			}
-			meter := &cost.Meter{}
-			c16 := cache.New(cache.Config{Size: 16 << 10})
-			m := mem.New(c16, meter)
-			m.SetBatching(0)
-			a, err := alloc.New(allocName, m)
-			if err != nil {
-				return nil, err
-			}
-			sum, err := app.Run(apps.NewCtx(m, a, r.Seed), size)
-			if err != nil {
-				return nil, fmt.Errorf("ext-apps %s/%s: %w", appName, allocName, err)
-			}
-			m.Flush()
-			if i == 0 {
-				want = sum
-			} else if sum != want {
+			if c.sum != want {
 				return nil, fmt.Errorf("ext-apps %s: checksum mismatch under %s (%#x vs %#x)",
-					appName, allocName, sum, want)
+					appName, allocName, c.sum, want)
 			}
-			row = append(row, fmt.Sprintf("%.1f/%s/%.2f",
-				meter.AllocFraction()*100, kb(m.Footprint()), c16.MissRate()*100))
+			row = append(row, c.text)
 		}
 		t.AddRow(row...)
 	}
 	return t, nil
+}
+
+// appCell is one (kernel, allocator) cell of ext-apps: the kernel's
+// checksum and the rendered cell, or the error that stopped it.
+type appCell struct {
+	sum  uint64
+	text string
+	err  error
+}
+
+// runAppCell runs one kernel under one allocator on a fresh memory with
+// a 16 K cache. A done ctx fails the cell before it starts.
+func runAppCell(ctx context.Context, appName, allocName string, size int, seed uint64) appCell {
+	if err := ctx.Err(); err != nil {
+		return appCell{err: fmt.Errorf("ext-apps: %w", context.Cause(ctx))}
+	}
+	app, _ := apps.Get(appName)
+	meter := &cost.Meter{}
+	c16 := cache.New(cache.Config{Size: 16 << 10})
+	m := mem.New(c16, meter)
+	m.SetBatching(0)
+	a, err := alloc.New(allocName, m)
+	if err != nil {
+		return appCell{err: err}
+	}
+	sum, err := app.Run(apps.NewCtx(m, a, seed), size)
+	if err != nil {
+		return appCell{err: fmt.Errorf("ext-apps %s/%s: %w", appName, allocName, err)}
+	}
+	m.Flush()
+	return appCell{sum: sum, text: fmt.Sprintf("%.1f/%s/%.2f",
+		meter.AllocFraction()*100, kb(m.Footprint()), c16.MissRate()*100)}
 }
 
 // ExtHierarchy evaluates the allocators under the two-level hierarchy
@@ -393,6 +423,20 @@ func (r *Runner) bundle(ctx context.Context, id, progName string, allocs []strin
 	return results, nil
 }
 
+// results returns the memoized pair of progName with each of allocs, in
+// order, or the first error.
+func (r *Runner) results(ctx context.Context, progName string, allocs []string) ([]*sim.Result, error) {
+	out := make([]*sim.Result, len(allocs))
+	for i, a := range allocs {
+		res, err := r.Result(ctx, progName, a)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = res
+	}
+	return out, nil
+}
+
 // addMetric adds the row name with f of each result.
 func addMetric(t *Table, results []*sim.Result, name string, f func(*sim.Result) string) {
 	cells := []string{name}
@@ -535,13 +579,9 @@ func (r *Runner) ExtSequentialFits(ctx context.Context) (*Table, error) {
 		Header: append([]string{"Metric"}, allocs...),
 	}
 	// The 16 K and 64 K caches are members of every pair's cache group.
-	results := make([]*sim.Result, len(allocs))
-	for i, a := range allocs {
-		res, err := r.Result(ctx, "espresso", a)
-		if err != nil {
-			return nil, err
-		}
-		results[i] = res
+	results, err := r.results(ctx, "espresso", allocs)
+	if err != nil {
+		return nil, err
 	}
 	addMetric(t, results, "malloc+free (% time)", func(r *sim.Result) string { return f2(r.AllocFraction() * 100) })
 	addMetric(t, results, "heap (KB)", func(r *sim.Result) string { return kb(r.Footprint) })

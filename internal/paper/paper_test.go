@@ -386,11 +386,12 @@ func TestCheckHeapCoversExtensions(t *testing.T) {
 		t.Fatal(err)
 	}
 	snaps, _ := r.ShadowSnapshots()
-	// Five seeds of five allocators, and ext-seqfit's memoized pairs.
+	// Five seeds of five allocators, the Runner's seed as the memoized
+	// gs-small pairs, and ext-seqfit's memoized pairs.
 	if want := 5*5 + len(seqfitAllocators); len(snaps) != want {
 		t.Errorf("%d verdicts, want %d", len(snaps), want)
 	}
-	for _, k := range []string{"ext-seeds:gs-small/bsd@3", "espresso/bestfit"} {
+	for _, k := range []string{"ext-seeds:gs-small/bsd@3", "gs-small/bsd", "espresso/bestfit"} {
 		if snaps[k] == nil {
 			t.Errorf("no verdict for %s", k)
 		}

@@ -2,10 +2,13 @@ package paper
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"mallocsim/internal/alloc"
 	"mallocsim/internal/sim"
 )
 
@@ -234,5 +237,71 @@ func TestResultHitZeroAlloc(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, func() { _, _ = r.Result(ctx, "espresso", "firstfit") }); avg != 0 {
 		t.Errorf("a memoized Result allocates %.1f allocs/op, want 0", avg)
+	}
+}
+
+// TestPlanBundles pins how Prefetch deals pairs into jobs. The server
+// scenario's allocators go round-robin into max(min(Workers, N),
+// ⌈N/2⌉) bundles, so no bundle holds more than two lanes and each
+// allocator runs exactly once. Catalog programs keep min(Workers, N)
+// bundles: at Workers 2 the experiment lists of perfbench's
+// paper-churn and paper-paging workloads plan exactly these jobs.
+func TestPlanBundles(t *testing.T) {
+	allocs := alloc.Names()
+	for _, workers := range []int{1, 2, 8, 16} {
+		r := NewRunner(GoldenScale)
+		r.Workers = workers
+		jobs := r.plan(r.PairsFor("server"))
+		n := max(min(workers, len(allocs)), (len(allocs)+1)/2)
+		if len(jobs) != n {
+			t.Errorf("workers=%d: %d server jobs, want %d", workers, len(jobs), n)
+			continue
+		}
+		seen := map[string]int{}
+		for i, j := range jobs {
+			var want []string
+			for k := i; k < len(allocs); k += n {
+				want = append(want, allocs[k])
+			}
+			if j.program != serverScenario || len(j.allocs) > 2 || !slices.Equal(j.allocs, want) {
+				t.Errorf("workers=%d: job %d = %s %v, want %s %v", workers, i, j.program, j.allocs, serverScenario, want)
+			}
+			for _, a := range j.allocs {
+				seen[a]++
+			}
+		}
+		for _, a := range allocs {
+			if seen[a] != 1 {
+				t.Errorf("workers=%d: %s planned %d times, want once", workers, a, seen[a])
+			}
+		}
+	}
+
+	r := NewRunner(GoldenScale)
+	r.Workers = 2
+	for _, c := range []struct {
+		ids  []string
+		want []job
+	}{
+		{[]string{"figure6", "figure7", "figure9", "modern"}, []job{
+			{"gs-small", []string{"firstfit", "bsd", "quickfit", "bitfit", "locarena"}},
+			{"gs-small", []string{"gnufit", "gnulocal", "custom", "vamfit"}},
+			{"gs-medium", []string{"firstfit", "bsd", "quickfit"}},
+			{"gs-medium", []string{"gnufit", "gnulocal"}},
+			{"gawk", []string{"bsd", "custom-pow2", "custom-reclaim", "vamfit"}},
+			{"gawk", []string{"quickfit", "custom", "bitfit", "locarena"}},
+			{"espresso", []string{"bsd", "custom-pow2", "custom-reclaim", "vamfit"}},
+			{"espresso", []string{"quickfit", "custom", "bitfit", "locarena"}},
+		}},
+		{[]string{"figure2", "figure3", "figure8"}, []job{
+			{"gs", []string{"firstfit", "bsd", "quickfit"}},
+			{"gs", []string{"gnufit", "gnulocal"}},
+			{"ptc", []string{"firstfit", "bsd", "quickfit"}},
+			{"ptc", []string{"gnufit", "gnulocal"}},
+		}},
+	} {
+		if got := r.plan(r.PairsFor(c.ids...)); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("workers=2, %v: jobs\n%v\nwant\n%v", c.ids, got, c.want)
+		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -59,10 +60,12 @@ type Runner struct {
 
 	// Workers bounds the worker pool, which runs Prefetch's bundles and
 	// then Tables' table jobs, and with it how Prefetch bundles
-	// allocators: each program's N allocators are dealt into
+	// allocators: a catalog program's N allocators are dealt into
 	// min(Workers, N) bundles, so synthesis is shared only while
 	// Workers < N, and a bundle holds about N/Workers pipelines at once.
-	// 0 means GOMAXPROCS; 1 runs one bundle per program, and then one
+	// The server scenario's are dealt into at least ⌈N/2⌉ bundles, so
+	// its bundles hold at most two pipelines at any width. 0 means
+	// GOMAXPROCS; 1 runs one bundle per catalog program, and then one
 	// table at a time. The results are byte-identical at every width and
 	// bundle size — only wall-clock and memory change.
 	Workers int
@@ -252,11 +255,12 @@ type Pair struct {
 // the program's N allocators are dealt into min(Workers, N) bundles of
 // near-equal size, and each bundle synthesizes the program once for
 // all of its allocators — so bundles share work only while Workers is
-// below N, and at Workers >= N every pair runs alone. Server-scenario
-// pairs, whose sharing sinks make a bundle's lanes costly to hold at
-// once, run one per job. Every pair of a job is registered in flight
-// before its bundle starts, so a concurrent Result for it waits instead
-// of simulating again.
+// below N, and at Workers >= N every pair runs alone. A server
+// scenario's lanes each hold a sharing attributor beside the cache
+// group, so its allocators are dealt into more bundles where needed to
+// keep each to serverBundleLanes. Every pair of a job is registered in
+// flight before its bundle starts, so a concurrent Result for it waits
+// instead of simulating again.
 //
 // Prefetch runs every job, at any width including 1, and then returns
 // the first error in plan order (programs by first use); failed pairs
@@ -309,9 +313,20 @@ type job struct {
 	allocs  []string
 }
 
+// serverBundleLanes caps the lanes of a server-scenario bundle. A
+// server lane holds a lot of sink state (its sharing attributor, the
+// five-cache group, its heap pages) next to the synthesis a bundle
+// shares. On a 2-vCPU host, bundles of at most two ran the server
+// experiment about 14% faster than lone pairs, in less peak memory;
+// wider caps gained less and held more (three lanes 12%, four 7%, and
+// min(Workers, N) bundles of about ten lanes 1% at 1.5× the memory).
+const serverBundleLanes = 2
+
 // plan deduplicates pairs, drops the memoized ones and groups the rest
-// into jobs, in first-use order: each program's allocators are dealt
-// into bundles over the worker count, a server scenario's one per job.
+// into jobs, in first-use order: each program's N allocators are dealt
+// round-robin into min(workers, N) bundles, and a server scenario's
+// into at least ⌈N/serverBundleLanes⌉, so none holds more lanes than
+// that.
 func (r *Runner) plan(pairs []Pair) []job {
 	var groups []*job
 	byProg := map[string]*job{}
@@ -340,7 +355,7 @@ func (r *Runner) plan(pairs []Pair) []job {
 	for _, g := range groups {
 		n := min(workers, len(g.allocs))
 		if _, server := workload.ServerByName(g.program); server {
-			n = len(g.allocs)
+			n = max(n, (len(g.allocs)+serverBundleLanes-1)/serverBundleLanes)
 		}
 		bundles := make([]job, n)
 		for i, a := range g.allocs {
@@ -459,6 +474,10 @@ func (r *Runner) PairsFor(ids ...string) []Pair {
 			add(one("gs"), penaltyAllocators...)
 		case "ext-seqfit":
 			add(one("espresso"), seqfitAllocators...)
+		case "ext-seeds":
+			if slices.Contains(sweepSeeds, r.Seed) {
+				add(one("gs-small"), Allocators...)
+			}
 		}
 	}
 	return out
