@@ -316,10 +316,11 @@ type job struct {
 // serverBundleLanes caps the lanes of a server-scenario bundle. A
 // server lane holds a lot of sink state (its sharing attributor, the
 // five-cache group, its heap pages) next to the synthesis a bundle
-// shares. On a 2-vCPU host, bundles of at most two ran the server
-// experiment about 14% faster than lone pairs, in less peak memory;
-// wider caps gained less and held more (three lanes 12%, four 7%, and
-// min(Workers, N) bundles of about ten lanes 1% at 1.5× the memory).
+// shares, so wide bundles do not pay. On a 2-vCPU host at Workers 2,
+// the server experiment's prefetch ran about 1.17× as fast with
+// bundles of at most two as with lone pairs, in less peak memory;
+// three lanes ran no faster (1.18×) and four slower (1.13×), and each
+// peaked 1–2 MB higher than two.
 const serverBundleLanes = 2
 
 // plan deduplicates pairs, drops the memoized ones and groups the rest
