@@ -90,11 +90,24 @@ func BenchmarkTable6BoundaryTags(b *testing.B)   { benchExperiment(b, "table6") 
 func BenchmarkFigure9SizeMapping(b *testing.B)   { benchExperiment(b, "figure9") }
 
 // BenchmarkServerWorkload runs the concurrent server experiment — the
-// full 19-allocator sharing-attribution sweep — end to end. It is one
-// of the two benchmarks gated by the CI regression check (bench.sh,
-// BENCH_MAX_PCT): the server driver, tid plumbing and sharing
-// attributor all sit on its hot path.
-func BenchmarkServerWorkload(b *testing.B) { benchExperiment(b, "server") }
+// full 19-allocator sharing-attribution sweep — end to end through
+// Runner.Tables, so its pairs run as the two-lane bundles locality,
+// sentinel and RunAll run. It is one of the two benchmarks gated by
+// the CI regression check (bench.sh, BENCH_MAX_PCT): the server
+// driver, tid plumbing, bundle plan and sharing attributor all sit on
+// its hot path.
+func BenchmarkServerWorkload(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		r := paper.NewRunner(benchScale())
+		tabs, err := r.Tables(context.Background(), "server")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, done := printOnce.LoadOrStore("server", true); !done {
+			fmt.Printf("\n%s\n", tabs[0].String())
+		}
+	}
+}
 
 // --- allocator micro-benchmarks ---
 
