@@ -260,8 +260,8 @@ func BenchmarkCacheGroupSweep(b *testing.B) {
 // BenchmarkCacheGroupBlockSweep drives the same five-configuration
 // group with the same mixed stream as BenchmarkCacheGroupSweep, but
 // delivered as one columnar trace.Block per op (4096 rows, including
-// collapsed run rows): the fused sweep decomposes each block into
-// lines once and probes every config from the shared stream. Compare
+// collapsed run rows): the fused scan walks each block's lines once and
+// probes every config as each line closes. Compare
 // the reported ns/ref against BenchmarkCacheGroupSweep's ns/op — both
 // simulate the identical reference sequence.
 func BenchmarkCacheGroupBlockSweep(b *testing.B) {
@@ -554,10 +554,11 @@ func BenchmarkStackSimPairReplay(b *testing.B) {
 // stream into a fresh cache.Group per op: the cache group's stage of
 // the layer ladder. Two member shapes select Group's two block paths —
 // paper, the five direct-mapped paper caches, runs fusedScan; assoc,
-// 16K direct, 32K 2-way and 64K 4-way, runs decompose+replay — and
-// each shape is delivered both as the flushed blocks (block) and as
-// the unbatched per-reference stream (ref). block against ref on each
-// shape is the measured reason both block paths stay.
+// 16K direct, 32K 2-way and 64K 4-way, expands every block reference
+// through Ref — and each shape is delivered both as the flushed blocks
+// (block) and as the unbatched per-reference stream (ref). paper/block
+// against paper/ref is what the fused scan buys; assoc/block against
+// assoc/ref is what the expansion loop costs on top of Ref.
 func BenchmarkCacheGroupPairReplay(b *testing.B) {
 	blocks, refs, _ := recordPair(b, "gs", "firstfit")
 	var flat []trace.Ref

@@ -103,12 +103,10 @@ type Snapshot struct {
 type Options struct {
 	// AuditEvery runs a boundary-tag heap audit (alloc.Checker.Check)
 	// every AuditEvery operations, when the wrapped allocator
-	// implements Checker. 0 uses DefaultAuditEvery; set DisableAudit
-	// to turn audits off entirely. Audits read simulated memory
-	// uncounted (alloc.HeapCheck), so the cadence changes no metric.
+	// implements Checker. 0 uses DefaultAuditEvery. Audits read
+	// simulated memory uncounted (alloc.HeapCheck), so the cadence
+	// changes no metric.
 	AuditEvery uint64
-	// DisableAudit turns periodic audits off.
-	DisableAudit bool
 	// MaxRecorded bounds the verbatim violation records kept (the
 	// counters always count everything). 0 uses DefaultMaxRecorded.
 	MaxRecorded int
@@ -429,7 +427,7 @@ func (s *Allocator) ceil(addr uint64) *node {
 // --- audits and reporting ----------------------------------------------
 
 func (s *Allocator) maybeAudit() {
-	if s.checker == nil || s.opts.DisableAudit {
+	if s.checker == nil {
 		return
 	}
 	if s.ops%s.opts.AuditEvery == 0 {

@@ -52,8 +52,8 @@ var Analyzer = &analysis.Analyzer{
 // allocations.
 var hotFuncs = map[string]map[string]map[string]bool{
 	"cache": {
-		"Group":   set("Ref", "accessLine", "Block", "fusedScan", "probeEntry", "probeRun", "decompose", "replay"),
-		"Cache":   set("Ref", "Block", "accessLine", "accessLineRun"),
+		"Group":   set("Ref", "accessLine", "Block", "fusedScan", "probeEntry", "probeRun"),
+		"Cache":   set("Ref", "accessLine"),
 		"lineSet": set("add", "addRange"),
 		"Sharing": set("Ref", "Block", "access", "runRow", "accessLine"),
 	},

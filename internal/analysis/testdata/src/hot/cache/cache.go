@@ -14,7 +14,7 @@ type point struct{ x uint64 }
 func box(v any) { _ = v }
 
 // Group mirrors the fused-sweep receiver; Ref/Block/accessLine/
-// decompose are in the hot set.
+// fusedScan are in the hot set.
 type Group struct {
 	buf  []uint64
 	seen map[uint64]bool
@@ -64,9 +64,9 @@ func (g *Group) accessLine(line uint64) {
 	g.buf = append(g.buf, line)
 }
 
-// decompose is clean; its leftover directive is stale and the
+// fusedScan is clean; its leftover directive is stale and the
 // suppression audit flags it.
-func (g *Group) decompose() {
+func (g *Group) fusedScan() {
 	//lint:allow hotalloc stale justification kept after the fix // want `lint:allow hotalloc suppresses no diagnostic here`
 	g.buf = g.buf[:0]
 }

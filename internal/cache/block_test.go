@@ -2,6 +2,7 @@ package cache
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"mallocsim/internal/mem"
@@ -76,46 +77,13 @@ func genBlocks(seed uint64, n, rows int) []*trace.Block {
 	return blocks
 }
 
-// TestCacheBlockEquivalence: Cache.Block must accumulate exactly the
-// counters of per-reference delivery, for every geometry (direct
-// mapped, set associative, no-write-allocate, flush intervals).
-func TestCacheBlockEquivalence(t *testing.T) {
-	cfgs := map[string]Config{
-		"direct16k":   {Size: 16 << 10},
-		"assoc4":      {Size: 64 << 10, Assoc: 4},
-		"nowralloc":   {Size: 16 << 10, NoWriteAllocate: true},
-		"smallline":   {Size: 8 << 10, LineSize: 16},
-		"flush":       {Size: 16 << 10, FlushInterval: 4096},
-		"fullyassoc":  {Size: 4 << 10, Assoc: 64},
-		"assoc2flush": {Size: 32 << 10, Assoc: 2, FlushInterval: 2048},
-	}
-	for name, cfg := range cfgs {
-		t.Run(name, func(t *testing.T) {
-			for seed := uint64(1); seed <= 3; seed++ {
-				blocks := genBlocks(seed, 4, 512)
-				byRef, byBlock := New(cfg), New(cfg)
-				deliverRefs(byRef, blocks)
-				for _, b := range blocks {
-					byBlock.Block(b)
-				}
-				if byRef.Accesses() != byBlock.Accesses() ||
-					byRef.Misses() != byBlock.Misses() ||
-					byRef.Writebacks() != byBlock.Writebacks() {
-					t.Fatalf("seed %d: block delivery diverged: ref (%d,%d,%d) vs block (%d,%d,%d)",
-						seed,
-						byRef.Accesses(), byRef.Misses(), byRef.Writebacks(),
-						byBlock.Accesses(), byBlock.Misses(), byBlock.Writebacks())
-				}
-			}
-		})
-	}
-}
-
-// groupVariants are the Group shapes that select each bulk code path:
-// the fused single-pass scan (all direct mapped, no flush/nwa),
-// decompose+replay with run collapsing (associative members), and
-// decompose's per-access branch (flush intervals and no-write-allocate
-// disable run collapsing).
+// groupVariants are Group shapes covering both of Block's paths: the
+// fused single-pass scan (every member direct mapped, write-allocate,
+// no flush interval) and, for any other mix, the expansion of each row
+// through Ref. The "one-" shapes are one-member groups, the way a
+// batched pipeline feeds a lone cache, over every geometry: direct
+// mapped, set associative up to fully associative, no-write-allocate,
+// 16-byte lines and flush intervals.
 func groupVariants() map[string][]Config {
 	return map[string][]Config{
 		"fused": {
@@ -131,13 +99,52 @@ func groupVariants() map[string][]Config {
 		"flush": {
 			{Size: 16 << 10, FlushInterval: 8192}, {Size: 64 << 10},
 		},
+		"one-direct16k":   {{Size: 16 << 10}},
+		"one-assoc4":      {{Size: 64 << 10, Assoc: 4}},
+		"one-nowralloc":   {{Size: 16 << 10, NoWriteAllocate: true}},
+		"one-smallline":   {{Size: 8 << 10, LineSize: 16}},
+		"one-flush":       {{Size: 16 << 10, FlushInterval: 4096}},
+		"one-fullyassoc":  {{Size: 4 << 10, Assoc: 64}},
+		"one-assoc2flush": {{Size: 32 << 10, Assoc: 2, FlushInterval: 2048}},
 	}
 }
 
-// TestGroupBlockEquivalence: Group.Block (fused scan, and
-// decompose+replay with and without run collapsing) must match
-// per-reference delivery on every member's counters and on the
-// distinct-line census.
+// TestCacheBlockEquivalence: a lone Cache fed reference by reference,
+// as the unbatched tools wire it, must count exactly what a one-member
+// Group fed blocks counts, the way a batched pipeline feeds a lone
+// cache (ext-apps, ext-linesize), for every geometry of the one-member
+// shapes in groupVariants.
+func TestCacheBlockEquivalence(t *testing.T) {
+	for name, cfgs := range groupVariants() {
+		geom, ok := strings.CutPrefix(name, "one-")
+		if !ok {
+			continue
+		}
+		t.Run(geom, func(t *testing.T) {
+			for seed := uint64(1); seed <= 3; seed++ {
+				blocks := genBlocks(seed, 4, 512)
+				byRef, byBlock := New(cfgs[0]), NewGroup(cfgs...)
+				deliverRefs(byRef, blocks)
+				for _, b := range blocks {
+					byBlock.Block(b)
+				}
+				m := byBlock.caches[0]
+				if byRef.Accesses() != m.Accesses() ||
+					byRef.Misses() != m.Misses() ||
+					byRef.Writebacks() != m.Writebacks() {
+					t.Fatalf("seed %d: block delivery diverged: ref (%d,%d,%d) vs block (%d,%d,%d)",
+						seed,
+						byRef.Accesses(), byRef.Misses(), byRef.Writebacks(),
+						m.Accesses(), m.Misses(), m.Writebacks())
+				}
+			}
+		})
+	}
+}
+
+// TestGroupBlockEquivalence: Group.Block (the fused scan, and the
+// expansion through Ref) must match per-reference delivery on every
+// member's counters and on the distinct-line census.
 func TestGroupBlockEquivalence(t *testing.T) {
 	for name, cfgs := range groupVariants() {
 		t.Run(name, func(t *testing.T) {

@@ -17,7 +17,6 @@ package cache
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 	"sort"
 
@@ -111,8 +110,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Cache simulates a single cache configuration. It implements
-// trace.Sink. The zero value is not usable; call New.
+// Cache simulates a single cache configuration. It is a plain
+// trace.Sink, taking one reference at a time: the unbatched tools and
+// the Hierarchy and VictimCache models use it directly, while a batched
+// pipeline wraps its caches in a Group (one member is enough) to take
+// columnar blocks. The zero value is not usable; call New.
 type Cache struct {
 	cfg       Config
 	lineShift uint
@@ -120,9 +122,9 @@ type Cache struct {
 	assoc     int
 	// tags holds, per set, assoc line tags maintained in LRU order
 	// (index 0 = most recently used). invalidTag marks empty ways;
-	// valid tags are packed as line<<1 | dirty — the same packing the
-	// group's decomposed line stream uses (line<<1 | writeBit), so the
-	// hot hit test is a single XOR: t^packed < 2 iff same line, and
+	// valid tags are packed as line<<1 | dirty — the same packing as the
+	// group's fused line entries (line<<1 | writeBit), so the hot hit
+	// test is a single XOR: t^packed < 2 iff same line, and
 	// invalidTag can never satisfy it (Validate holds lines to at least
 	// a word, so line numbers fit in 62 bits and packed tags in 63).
 	tags []uint64
@@ -199,50 +201,6 @@ func (c *Cache) Ref(r trace.Ref) {
 			break
 		}
 	}
-}
-
-// Block implements trace.BlockSink: the simulator walks the address and
-// kind columns directly, loading sizes only to split line-spanning
-// references. Run rows are expanded reference by reference — a lone
-// Cache may have flush intervals or no-write-allocate semantics, for
-// which every individual access matters; the closed-form run sweep
-// lives in Group, which gates it on the features that permit it.
-func (c *Cache) Block(b *trace.Block) {
-	runs := b.Runs
-	for i, addr := range b.Addrs {
-		sz := b.Sizes[i]
-		write := b.Kinds[i] == trace.Write
-		n := uint32(1)
-		if runs != nil {
-			n = runs[i]
-		}
-		for ; n > 0; n-- {
-			first, last := span(addr, sz, c.lineShift)
-			if first == last {
-				c.accessLine(first, write)
-			} else {
-				for line := first; ; line++ {
-					c.accessLine(line, write)
-					if line == last {
-						break
-					}
-				}
-			}
-			addr += uint64(sz)
-		}
-	}
-}
-
-// accessLineRun folds count consecutive accesses to one line (write
-// true if any of them was a store) into a single probe plus a bulk
-// access count. Exact only for write-allocate caches with no flush
-// interval: after the first access the line is resident whatever the
-// probe's outcome, so accesses 2..count hit and can only set the dirty
-// bit — which the folded write flag already does. Group.replay gates
-// callers on exactly those conditions (rleOK).
-func (c *Cache) accessLineRun(line uint64, write bool, count uint64) {
-	c.accesses += count - 1
-	c.accessLine(line, write)
 }
 
 func (c *Cache) accessLine(line uint64, write bool) {
@@ -430,21 +388,19 @@ func (s *lineSet) distinct() uint64 {
 
 // Group feeds one reference stream to several cache configurations and
 // tracks the distinct-line (cold miss) count once for all of them. It
-// implements trace.Sink and trace.BlockSink, with three delivery paths
-// that all produce identical counters:
+// implements trace.Sink and trace.BlockSink. Ref splits each reference
+// into lines and probes every member line by line; it serves unbatched
+// pipelines, where a mem.Memory without SetBatching delivers one
+// reference at a time (examples/custom). Block has two paths that
+// produce the same counters as Ref:
 //
-//   - Ref splits each reference into lines and probes every member
-//     line by line. It serves unbatched pipelines, where a mem.Memory
-//     without SetBatching delivers one reference at a time
-//     (examples/custom).
-//   - Block on a fused group (every member direct mapped,
-//     write-allocate, no flush interval: the paper's configuration) runs
-//     fusedScan, which probes every member as each collapsed line run
-//     closes.
-//   - Block on any other group decomposes the block into a line stream
-//     once and replays that stream across the members (decompose, then
-//     replay): run-collapsed for associative members, one entry per
-//     access when a member is no-write-allocate or has a flush interval.
+//   - On a fused group (every member direct mapped, write-allocate, no
+//     flush interval: the paper's configuration) it runs fusedScan,
+//     which probes every member as each collapsed line run closes.
+//   - On any other group it hands every reference of the block, run
+//     rows expanded in place, to Ref.
+//
+// A one-member Group is how a batched pipeline feeds a lone cache.
 type Group struct {
 	caches []*Cache
 	// seen tracks distinct line numbers (the shared cold-miss count).
@@ -456,19 +412,6 @@ type Group struct {
 	// members' tag arrays instead of a call per cache, and Block run
 	// fusedScan.
 	fused bool
-	// rleOK is true when every member is write-allocate with no flush
-	// interval: consecutive accesses to one cache line may then be
-	// collapsed to a single probe with a bulk access count (see
-	// Cache.accessLineRun for why this is exact). Unlike fused it does
-	// not require direct mapping.
-	rleOK bool
-
-	// Decomposed line stream of the block being replayed, reused across
-	// blocks. runLines packs line<<1|writeBit (the write bit of a
-	// collapsed run is the OR of its members); runCounts holds how many
-	// consecutive accesses each entry folds (rleOK groups only).
-	runLines  []uint64
-	runCounts []uint32
 
 	// probes is fusedScan's flattened view of the member caches — tag
 	// array, scan-local miss/writeback accumulators and the member's
@@ -509,16 +452,13 @@ func NewGroup(cfgs ...Config) *Group {
 	if err := ValidateGroup(cfgs...); err != nil {
 		panic(err.Error())
 	}
-	g := &Group{fused: true, rleOK: true}
+	g := &Group{fused: true}
 	for i, cfg := range cfgs {
 		c := New(cfg)
 		if i == 0 {
 			g.lineShift = c.lineShift
 		}
-		if c.cfg.NoWriteAllocate || c.cfg.FlushInterval != 0 {
-			g.rleOK = false
-		}
-		if c.assoc != 1 || !g.rleOK {
+		if c.assoc != 1 || c.cfg.NoWriteAllocate || c.cfg.FlushInterval != 0 {
 			g.fused = false
 		}
 		g.caches = append(g.caches, c)
@@ -594,16 +534,26 @@ func (g *Group) accessLine(line uint64, write bool) {
 }
 
 // Block implements trace.BlockSink: a fused group scans the block in
-// one pass (fusedScan); any other group decomposes the block's
-// addresses into a line stream once and replays that stream across
-// every member configuration.
+// one pass (fusedScan); any other group takes every reference of the
+// block through Ref, expanding run rows element by element in row
+// order, as trace.Block.AppendRefs does.
 func (g *Group) Block(b *trace.Block) {
 	if g.fused {
 		g.fusedScan(b)
 		return
 	}
-	g.decompose(b)
-	g.replay()
+	runs := b.Runs
+	for i := range b.Addrs {
+		r := b.At(i)
+		n := uint32(1)
+		if runs != nil {
+			n = runs[i]
+		}
+		for ; n > 0; n-- {
+			g.Ref(r)
+			r.Addr += uint64(r.Size)
+		}
+	}
 }
 
 // runAligned reports whether one run row decomposes in closed form: the
@@ -618,20 +568,20 @@ func runAligned(addr, sz, n uint64, shift uint) bool {
 		addr&(sz-1) == 0 && sz*n-1 <= ^uint64(0)-addr
 }
 
-// fusedScan is the single-pass specialization of decompose+replay for
-// an all-direct-mapped write-allocate group: each collapsed line run
-// probes every member the moment it closes, so the block never
-// materializes an intermediate line stream. The probe order and all
-// counter updates match per-reference delivery exactly.
+// fusedScan is Block's single-pass path for an all-direct-mapped
+// write-allocate group: consecutive accesses to one line collapse into
+// one entry, and each entry probes every member the moment it closes,
+// so the block never materializes an intermediate line stream. The
+// probe order and all counter updates match per-reference delivery
+// exactly.
 func (g *Group) fusedScan(b *trace.Block) {
 	seen := g.seen
 	caches := g.caches
 	shift := g.lineShift
 	runs := b.Runs
-	// Refresh the flattened probe view (tag slices may have been
-	// replaced by Reset) and zero the scan-local counters. The view is
-	// ordered smallest member first so probeEntry can early-exit read
-	// probes on the inclusion property.
+	// Refresh the flattened probe view and zero the scan-local
+	// counters. The view is ordered smallest member first so probeEntry
+	// can early-exit read probes on the inclusion property.
 	for i, k := range g.probeOrder {
 		g.probes[i] = fusedProbe{tags: caches[k].tags, idx: k}
 	}
@@ -761,9 +711,9 @@ func (g *Group) fusedScan(b *trace.Block) {
 //     earlier access, which already recorded it in the distinct-line
 //     set — only a miss at the smallest level needs seen.add.
 //
-// The shortcuts assume every member has seen the same access stream
-// since its last reset, which Group guarantees for all delivery
-// through its sink interface. Probes happen in line-close order, so
+// The shortcuts assume every member has seen the same access stream,
+// which Group guarantees: its members are reachable only through its
+// sink interface. Probes happen in line-close order, so
 // each member's counters and tag state are identical to the unfused
 // per-reference simulation. Accesses are charged in bulk by fusedScan.
 func (g *Group) probeEntry(e uint64) {
@@ -829,211 +779,6 @@ func (g *Group) probeRun(e0, n uint64) {
 		e0 += 2
 	}
 }
-
-// decompose splits every reference in the block into cache-line
-// accesses. When the group's members allow it (rleOK), consecutive
-// accesses to the same line collapse into one entry whose access count
-// goes to runCounts (the write bit of a collapsed entry is the OR of
-// its members' write bits); otherwise every access is its own entry
-// and runCounts is left empty. The resulting stream replays
-// identically across every member, hoisting the span/shift work that
-// the per-reference path repeats per config per ref. Distinct-line
-// tracking happens here, one add per emitted entry — identical to a
-// pass over the finished stream, without the extra traversal.
-func (g *Group) decompose(b *trace.Block) {
-	lines := g.runLines[:0]
-	counts := g.runCounts[:0]
-	seen := g.seen
-	shift := g.lineShift
-	runs := b.Runs
-	if g.rleOK {
-		var cur uint64
-		var curN uint32
-		have := false
-		for i, addr := range b.Addrs {
-			w := uint64(b.Kinds[i]) & 1
-			if runs != nil && runs[i] != 1 {
-				n := runs[i]
-				if n == 0 {
-					continue
-				}
-				sz := uint64(b.Sizes[i])
-				if !runAligned(addr, sz, uint64(n), shift) {
-					// Contract-violating run row: expand element by
-					// element through the span path, preserving the
-					// collapse state.
-					for ; n > 0; n-- {
-						first, last := span(addr, b.Sizes[i], shift)
-						for line := first; ; line++ {
-							if have && cur>>1 == line && curN < math.MaxUint32 {
-								cur |= w
-								curN++
-							} else {
-								if have {
-									lines = append(lines, cur)
-									counts = append(counts, curN)
-								}
-								cur, curN, have = line<<1|w, 1, true
-								seen.add(line)
-							}
-							if line == last {
-								break
-							}
-						}
-						addr += sz
-					}
-					continue
-				}
-				// Aligned run row: n single-line accesses walking lines
-				// first..last, with exact per-line counts computed in
-				// closed form instead of element by element.
-				first := addr >> shift
-				last := (addr + sz*uint64(n) - 1) >> shift
-				seen.addRange(first, last)
-				firstCnt := n
-				if first != last {
-					firstCnt = uint32((((first + 1) << shift) - addr) / sz)
-				}
-				if have && cur>>1 == first && curN <= math.MaxUint32-firstCnt {
-					cur |= w
-					curN += firstCnt
-				} else {
-					if have {
-						lines = append(lines, cur)
-						counts = append(counts, curN)
-					}
-					cur, curN, have = first<<1|w, firstCnt, true
-				}
-				if first == last {
-					continue
-				}
-				// wpl (elements per full line) cannot truncate in the
-				// uint32 cast whenever a full middle line exists: its
-				// count is bounded by the row's uint32 run length.
-				wpl := uint32((uint64(1) << shift) / sz)
-				rem := n - firstCnt
-				for line := first + 1; ; line++ {
-					cnt := wpl
-					if line == last {
-						cnt = rem
-					}
-					lines = append(lines, cur)
-					counts = append(counts, curN)
-					cur, curN = line<<1|w, cnt
-					if line == last {
-						break
-					}
-					rem -= wpl
-				}
-				continue
-			}
-			first, last := span(addr, b.Sizes[i], shift)
-			if first == last {
-				// Single-line reference: the overwhelming case for a
-				// word-granular stream, kept free of the line loop.
-				if have && cur>>1 == first {
-					cur |= w
-					curN++
-					continue
-				}
-				if have {
-					lines = append(lines, cur)
-					counts = append(counts, curN)
-				}
-				cur, curN, have = first<<1|w, 1, true
-				seen.add(first)
-				continue
-			}
-			for line := first; ; line++ {
-				if have && cur>>1 == line {
-					cur |= w
-					curN++
-				} else {
-					if have {
-						lines = append(lines, cur)
-						counts = append(counts, curN)
-					}
-					cur, curN, have = line<<1|w, 1, true
-					seen.add(line)
-				}
-				if line == last {
-					break
-				}
-			}
-		}
-		if have {
-			lines = append(lines, cur)
-			counts = append(counts, curN)
-		}
-	} else {
-		// Not collapsible (flush intervals or no-write-allocate members
-		// need every access): one entry per line access, no counts.
-		for i, addr := range b.Addrs {
-			w := uint64(b.Kinds[i]) & 1
-			if runs != nil && runs[i] != 1 {
-				// Per-access stream: expand the run one element at a
-				// time. Aligned elements hit exactly one line; a
-				// contract-violating row goes through span per element.
-				n := runs[i]
-				sz := uint64(b.Sizes[i])
-				a := addr
-				if !runAligned(addr, sz, uint64(n), shift) {
-					for ; n > 0; n-- {
-						first, last := span(a, b.Sizes[i], shift)
-						for line := first; ; line++ {
-							lines = append(lines, line<<1|w)
-							seen.add(line)
-							if line == last {
-								break
-							}
-						}
-						a += sz
-					}
-					continue
-				}
-				for ; n > 0; n-- {
-					line := a >> shift
-					lines = append(lines, line<<1|w)
-					seen.add(line)
-					a += sz
-				}
-				continue
-			}
-			first, last := span(addr, b.Sizes[i], shift)
-			for line := first; ; line++ {
-				lines = append(lines, line<<1|w)
-				seen.add(line)
-				if line == last {
-					break
-				}
-			}
-		}
-	}
-	g.runLines, g.runCounts = lines, counts
-}
-
-// replay feeds the decomposed line stream to every member cache.
-// Distinct-line tracking already happened during decomposition.
-func (g *Group) replay() {
-	lines := g.runLines
-	counts := g.runCounts
-	for _, c := range g.caches {
-		if g.rleOK {
-			for j, e := range lines {
-				c.accessLineRun(e>>1, e&1 != 0, uint64(counts[j]))
-			}
-		} else {
-			// Not collapsed (one entry per access): the exact per-access
-			// path, which handles flush intervals and no-write-allocate.
-			for _, e := range lines {
-				c.accessLine(e>>1, e&1 != 0)
-			}
-		}
-	}
-}
-
-// Caches returns the member simulators in construction order.
-func (g *Group) Caches() []*Cache { return g.caches }
 
 // DistinctLines returns the number of distinct cache lines referenced.
 func (g *Group) DistinctLines() uint64 { return g.seen.distinct() }

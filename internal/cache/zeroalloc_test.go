@@ -37,12 +37,13 @@ func zeroAllocBlock(spans int) *trace.Block {
 	return b
 }
 
+// TestGroupBlockSweepZeroAlloc pins Block's fused path: every member
+// direct mapped and write-allocate, as in the paper's groups.
 func TestGroupBlockSweepZeroAlloc(t *testing.T) {
-	g := NewGroup(
-		Config{Size: 8 << 10},
-		Config{Size: 16 << 10, Assoc: 2},
-		Config{Size: 64 << 10, Assoc: 4},
-	)
+	g := NewGroup(Config{Size: 8 << 10}, Config{Size: 16 << 10}, Config{Size: 64 << 10})
+	if !g.fused {
+		t.Fatal("the fixture's group is not fused")
+	}
 	b := zeroAllocBlock(12)
 	g.Block(b) // materialize line-set pages and counters
 	if avg := testing.AllocsPerRun(20, func() { g.Block(b) }); avg != 0 {
@@ -50,12 +51,21 @@ func TestGroupBlockSweepZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestCacheBlockZeroAlloc(t *testing.T) {
-	c := New(Config{Size: 16 << 10, Assoc: 2})
-	b := zeroAllocBlock(1)
-	c.Block(b)
-	if avg := testing.AllocsPerRun(20, func() { c.Block(b) }); avg != 0 {
-		t.Errorf("warmed Cache.Block allocates %.1f allocs/op, want 0", avg)
+// TestGroupBlockExpandZeroAlloc pins Block's other path, the expansion
+// through Ref, on a group with set-associative members.
+func TestGroupBlockExpandZeroAlloc(t *testing.T) {
+	g := NewGroup(
+		Config{Size: 8 << 10},
+		Config{Size: 16 << 10, Assoc: 2},
+		Config{Size: 64 << 10, Assoc: 4},
+	)
+	if g.fused {
+		t.Fatal("the fixture's group is fused")
+	}
+	b := zeroAllocBlock(12)
+	g.Block(b) // materialize line-set pages
+	if avg := testing.AllocsPerRun(20, func() { g.Block(b) }); avg != 0 {
+		t.Errorf("warmed unfused Group.Block allocates %.1f allocs/op, want 0", avg)
 	}
 }
 

@@ -226,14 +226,15 @@ type appCell struct {
 }
 
 // runAppCell runs one kernel under one allocator on a fresh memory with
-// a 16 K cache. A done ctx fails the cell before it starts.
+// a 16 K cache (a one-member group, so it takes the batched blocks). A
+// done ctx fails the cell before it starts.
 func runAppCell(ctx context.Context, appName, allocName string, size int, seed uint64) appCell {
 	if err := ctx.Err(); err != nil {
 		return appCell{err: fmt.Errorf("ext-apps: %w", context.Cause(ctx))}
 	}
 	app, _ := apps.Get(appName)
 	meter := &cost.Meter{}
-	c16 := cache.New(cache.Config{Size: 16 << 10})
+	c16 := cache.NewGroup(cache.Config{Size: 16 << 10})
 	m := mem.New(c16, meter)
 	m.SetBatching(0)
 	a, err := alloc.New(allocName, m)
@@ -246,7 +247,7 @@ func runAppCell(ctx context.Context, appName, allocName string, size int, seed u
 	}
 	m.Flush()
 	return appCell{sum: sum, text: fmt.Sprintf("%.1f/%s/%.2f",
-		meter.AllocFraction()*100, kb(m.Footprint()), c16.MissRate()*100)}
+		meter.AllocFraction()*100, kb(m.Footprint()), c16.Results()[0].MissRate()*100)}
 }
 
 // ExtHierarchy evaluates the allocators under the two-level hierarchy
@@ -301,16 +302,16 @@ func (r *Runner) ExtLineSize(ctx context.Context) (*Table, error) {
 		Note:   r.note(),
 		Header: []string{"Allocator", "16B", "32B", "64B", "128B"},
 	}
-	// A cache.Group shares one line size, so each size is a sink of its
-	// own.
-	caches := make([][]*cache.Cache, len(Allocators))
+	// A cache.Group shares one line size, so each size is a one-member
+	// group of its own.
+	groups := make([][]*cache.Group, len(Allocators))
 	_, err := r.bundle(ctx, "ext-linesize", "gs-small", Allocators, sim.Config{
 		Sinks: func(lane int) []trace.Sink {
 			var sinks []trace.Sink
 			for _, ls := range lineSizes {
-				c := cache.New(cache.Config{Size: 16 << 10, LineSize: ls})
-				caches[lane] = append(caches[lane], c)
-				sinks = append(sinks, c)
+				g := cache.NewGroup(cache.Config{Size: 16 << 10, LineSize: ls})
+				groups[lane] = append(groups[lane], g)
+				sinks = append(sinks, g)
 			}
 			return sinks
 		},
@@ -320,8 +321,8 @@ func (r *Runner) ExtLineSize(ctx context.Context) (*Table, error) {
 	}
 	for i, a := range Allocators {
 		row := []string{a}
-		for _, c := range caches[i] {
-			row = append(row, f3(c.MissRate()*100))
+		for _, g := range groups[i] {
+			row = append(row, f3(g.Results()[0].MissRate()*100))
 		}
 		t.AddRow(row...)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"mallocsim/internal/sim"
 	"mallocsim/internal/vm"
 	"mallocsim/internal/workload"
 )
@@ -106,7 +107,7 @@ func (r *Runner) normTimeFigure(ctx context.Context, id string, cacheSize uint64
 	t := &Table{
 		ID: id,
 		Title: fmt.Sprintf("Normalized execution time with %dK direct-mapped cache, %d-cycle miss penalty (base / with cache)",
-			cacheSize>>10, r.Penalty),
+			cacheSize>>10, sim.DefaultPenalty),
 		Note:   r.note(),
 		Header: append([]string{"Program"}, Allocators...),
 	}
@@ -123,7 +124,7 @@ func (r *Runner) normTimeFigure(ctx context.Context, id string, cacheSize uint64
 				return nil, err
 			}
 			base := float64(res.BaseCycles()) / denom
-			with := float64(res.TotalCycles(cacheSize, r.Penalty)) / denom
+			with := float64(res.TotalCycles(cacheSize, sim.DefaultPenalty)) / denom
 			row = append(row, fmt.Sprintf("%.3f/%.3f", base, with))
 		}
 		t.AddRow(row...)

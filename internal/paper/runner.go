@@ -54,9 +54,8 @@ var pageSimPrograms = map[string]bool{"gs": true, "ptc": true}
 // key, making Result safe to call from many goroutines and each pair's
 // simulation run at most once.
 type Runner struct {
-	Scale   uint64
-	Seed    uint64
-	Penalty uint64
+	Scale uint64
+	Seed  uint64
 
 	// Workers bounds the worker pool, which runs Prefetch's bundles and
 	// then Tables' table jobs, and with it how Prefetch bundles
@@ -99,7 +98,6 @@ func NewRunner(scale uint64) *Runner {
 	return &Runner{
 		Scale:    scale,
 		Seed:     1,
-		Penalty:  sim.DefaultPenalty,
 		memo:     map[string]*sim.Result{},
 		inflight: map[string]*flight{},
 	}
@@ -370,7 +368,7 @@ func (r *Runner) plan(pairs []Pair) []job {
 }
 
 func (r *Runner) note() string {
-	return fmt.Sprintf("synthetic workloads at scale 1/%d, seed %d, miss penalty %d cycles; absolute values are model estimates — compare shapes with the paper", r.Scale, r.Seed, r.Penalty)
+	return fmt.Sprintf("synthetic workloads at scale 1/%d, seed %d, miss penalty %d cycles; absolute values are model estimates — compare shapes with the paper", r.Scale, r.Seed, sim.DefaultPenalty)
 }
 
 // Experiment pairs an ID with the function producing its table. Run

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"mallocsim/internal/sim"
 	"mallocsim/internal/workload"
 )
 
@@ -101,8 +102,8 @@ func (r *Runner) execTimeTable(ctx context.Context, id string, cacheSize uint64)
 			if err != nil {
 				return nil, err
 			}
-			total := res.Seconds(res.TotalCycles(cacheSize, r.Penalty))
-			miss := res.Seconds(res.MissCycles(cacheSize, r.Penalty))
+			total := res.Seconds(res.TotalCycles(cacheSize, sim.DefaultPenalty))
+			miss := res.Seconds(res.MissCycles(cacheSize, sim.DefaultPenalty))
 			row = append(row, fmt.Sprintf("%.2f/%.2f", total, miss))
 		}
 		t.AddRow(row...)
@@ -144,10 +145,10 @@ func (r *Runner) Table6(ctx context.Context) (*Table, error) {
 				return nil, err
 			}
 			c, _ := res.CacheResult(cacheSize)
-			total := res.TotalCycles(cacheSize, r.Penalty)
+			total := res.TotalCycles(cacheSize, sim.DefaultPenalty)
 			out[i] = cell{
 				missRate:    c.MissRate(),
-				penaltyFrac: float64(res.MissCycles(cacheSize, r.Penalty)) / float64(total),
+				penaltyFrac: float64(res.MissCycles(cacheSize, sim.DefaultPenalty)) / float64(total),
 				total:       total,
 			}
 		}

@@ -21,11 +21,12 @@
 // order — see the BlockSink contract.
 //
 // The columnar Block representation (struct-of-arrays: separate
-// address, size and kind columns) exists for the simulators' sake:
-// a cache group decomposes a whole block's addresses into a
-// run-length-collapsed cache-line stream once and replays it across
-// every configuration, and the VM stack simulator walks the address
-// column without loading sizes and kinds it mostly ignores.
+// address, size and kind columns) exists for the simulators' sake: a
+// cache group of direct-mapped caches scans a whole block's addresses
+// in one pass, collapsing consecutive accesses to a line and probing
+// every configuration as each line closes, and the VM stack simulator
+// walks the address column without loading sizes and kinds it mostly
+// ignores.
 package trace
 
 // Kind distinguishes loads from stores.
@@ -93,9 +94,10 @@ type Block struct {
 	// arithmetic must not wrap the 64-bit address space (mem.Memory
 	// falls back to single-reference rows near the top of the space);
 	// consumers may rely on both. Word-run producers (mem.TouchRun)
-	// use this to store an n-word sweep as one row, and the simulators
-	// consume runs with closed-form line/page arithmetic instead of
-	// per-reference decomposition.
+	// use this to store an n-word sweep as one row, and the fused cache
+	// group, the page simulator and the sharing attributor consume runs
+	// with closed-form line/page arithmetic instead of per-reference
+	// decomposition.
 	Runs []uint32
 	// Tids is the optional thread-identity column. When non-nil (same
 	// length as the other columns), Tids[i] is the logical thread that
