@@ -327,11 +327,12 @@ func newPipeline(cfg Config, lane int, allocName string) (*pipeline, error) {
 	// Batched reference delivery: the counter, cache group, page
 	// simulator and sampler all implement trace.BlockSink, so the hot
 	// per-word emit devirtualizes into columnar buffer appends with one
-	// block fan-out per buffer fill (a group of direct-mapped caches
-	// scans each block once for all configurations; any other group
-	// expands it reference by reference). Order-sensitive sinks
-	// (obs.Attribution reads the meter's current domain per reference)
-	// are plain Sinks and keep receiving every reference synchronously.
+	// block fan-out per buffer fill (a group of direct-mapped,
+	// write-allocate, flush-free caches scans each block once for all
+	// configurations; any other group expands it reference by
+	// reference). Order-sensitive sinks (obs.Attribution reads the
+	// meter's current domain per reference) are plain Sinks and keep
+	// receiving every reference synchronously.
 	m.SetBatching(0)
 
 	a, err := alloc.New(allocName, m)

@@ -22,11 +22,11 @@
 //
 // The columnar Block representation (struct-of-arrays: separate
 // address, size and kind columns) exists for the simulators' sake: a
-// cache group of direct-mapped caches scans a whole block's addresses
-// in one pass, collapsing consecutive accesses to a line and probing
-// every configuration as each line closes, and the VM stack simulator
-// walks the address column without loading sizes and kinds it mostly
-// ignores.
+// group of the paper's direct-mapped caches scans a whole block's
+// addresses in one pass, collapsing consecutive accesses to a line and
+// probing every configuration as each line closes, and the VM stack
+// simulator walks the address column without loading sizes and kinds
+// it mostly ignores.
 package trace
 
 // Kind distinguishes loads from stores.
